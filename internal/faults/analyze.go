@@ -145,10 +145,12 @@ func (r *Role) UnmarshalJSON(b []byte) error {
 // Replays are delta-evaluated: a scenario that perturbs nothing reuses
 // the nominal loss/crosstalk reports byte-identically; otherwise only
 // the routes promoted onto spares are re-priced (loss.ForRoute) and the
-// surviving set is re-summarized before a crosstalk pass over the
-// replay design. Replay designs share the nominal geometry, waveguides
-// and shortcuts; only the route table differs, with failed signals
-// removed and promoted signals rewritten onto their spare routes.
+// surviving set is re-summarized before a crosstalk pass. A replay
+// differs from the nominal design only in its route table — failed
+// signals removed, promoted signals moved onto their spare routes —
+// and neither loss.ForRoute, loss.Summarize nor the crosstalk walker
+// reads the route table, so every scenario runs against the nominal
+// design and one shared structural index (see replayer).
 func Analyze(ctx context.Context, d *router.Design, plan *pdn.Plan, scenarios []Scenario, opt Options) (*Report, error) {
 	lrep, err := loss.AnalyzeCtx(ctx, d, plan)
 	if err != nil {
@@ -158,10 +160,10 @@ func Analyze(ctx context.Context, d *router.Design, plan *pdn.Plan, scenarios []
 	if err != nil {
 		return nil, fmt.Errorf("faults: nominal crosstalk analysis: %w", err)
 	}
-	banks := loss.NewBanks(d)
+	rp := newReplayer(d, plan, lrep, xrep)
 
 	replay := func(i int) (Outcome, error) {
-		o, err := replayScenario(ctx, d, plan, banks, lrep, xrep, scenarios[i])
+		o, err := rp.replay(scenarios[i])
 		if err == nil && opt.OnOutcome != nil {
 			opt.OnOutcome(i, o)
 		}
@@ -171,6 +173,9 @@ func Analyze(ctx context.Context, d *router.Design, plan *pdn.Plan, scenarios []
 	if opt.Serial {
 		outcomes = make([]Outcome, len(scenarios))
 		for i := range scenarios {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			o, err := replay(i)
 			if err != nil {
 				return nil, err
@@ -268,9 +273,44 @@ func rankCritical(outcomes []Outcome) []CriticalElement {
 	return ce
 }
 
-// replayScenario evaluates one fault set against the design.
-func replayScenario(ctx context.Context, d *router.Design, plan *pdn.Plan, banks *loss.Banks,
-	lrep *loss.Report, xrep *xtalk.Report, sc Scenario) (Outcome, error) {
+// replayer is everything a scenario replay shares with the nominal
+// analysis, built once per Analyze call and read-only afterwards, so
+// the parallel fan-out shares it across workers.
+type replayer struct {
+	d      *router.Design
+	plan   *pdn.Plan
+	banks  *loss.Banks
+	engine *xtalk.Engine
+	lrep   *loss.Report
+	xrep   *xtalk.Report
+	// sigs lists the nominal signals in canonical (Src, Dst) order and
+	// losses[i] is the nominal loss of sigs[i]; replays filter both
+	// instead of re-sorting a route map.
+	sigs   []noc.Signal
+	losses []*loss.SignalLoss
+}
+
+func newReplayer(d *router.Design, plan *pdn.Plan, lrep *loss.Report, xrep *xtalk.Report) *replayer {
+	sigs := loss.CanonicalSignals(d)
+	losses := make([]*loss.SignalLoss, len(sigs))
+	for i, sig := range sigs {
+		losses[i] = lrep.Signals[sig]
+	}
+	return &replayer{
+		d:      d,
+		plan:   plan,
+		banks:  loss.NewBanks(d),
+		engine: xtalk.NewEngine(d),
+		lrep:   lrep,
+		xrep:   xrep,
+		sigs:   sigs,
+		losses: losses,
+	}
+}
+
+// replay evaluates one fault set against the design.
+func (rp *replayer) replay(sc Scenario) (Outcome, error) {
+	d := rp.d
 	deadPrimary := map[noc.Signal]bool{}
 	deadSpare := map[noc.Signal]bool{}
 	var detunes []Fault
@@ -285,29 +325,17 @@ func replayScenario(ctx context.Context, d *router.Design, plan *pdn.Plan, banks
 		}
 	}
 
-	// Resolve final routes: primary if alive, else the spare (promotion),
-	// else lost.
-	final := map[noc.Signal]*router.Route{}
-	var lost, promoted []noc.Signal
-	for sig, r := range d.Routes {
-		switch {
-		case !deadPrimary[sig]:
-			final[sig] = r
-		case d.SpareRoutes[sig] != nil && !deadSpare[sig]:
-			final[sig] = d.SpareRoutes[sig]
-			promoted = append(promoted, sig)
-		default:
-			lost = append(lost, sig)
-		}
-	}
-	sortSignals(lost)
-	sortSignals(promoted)
-
 	// A detune only bites when it targets the channel the signal ends up
-	// using after promotion.
+	// using after promotion: the primary if alive, else the spare.
 	detuneDB := map[noc.Signal]float64{}
 	for _, f := range detunes {
-		r := final[f.Sig]
+		r := d.Routes[f.Sig]
+		if deadPrimary[f.Sig] {
+			r = d.SpareRoutes[f.Sig]
+			if deadSpare[f.Sig] {
+				r = nil
+			}
+		}
 		if r == nil {
 			continue
 		}
@@ -321,46 +349,34 @@ func replayScenario(ctx context.Context, d *router.Design, plan *pdn.Plan, banks
 	}
 	sortSignals(detuned)
 
-	out := Outcome{
-		Scenario: sc,
-		Lost:     lost,
-		Promoted: promoted,
-		Detuned:  detuned,
-		Survived: len(final),
-	}
-	if len(lost) == 0 && len(promoted) == 0 && len(detuned) == 0 {
-		// No structural or loss effect: the nominal analyses hold
-		// byte-identically.
+	out := Outcome{Scenario: sc, Detuned: detuned, Survived: len(rp.sigs)}
+	if len(deadPrimary) == 0 && len(detuned) == 0 {
+		// No structural or loss effect (every dead primary is either
+		// lost or promoted): the nominal analyses hold byte-identically.
 		mNominalReuse.Inc()
-		out.WorstIL = lrep.WorstIL
-		out.WorstSNR = xrep.WorstSNR
-		out.TotalPowerMW = lrep.TotalPowerMW
+		out.WorstIL = rp.lrep.WorstIL
+		out.WorstSNR = rp.xrep.WorstSNR
+		out.TotalPowerMW = rp.lrep.TotalPowerMW
 		return out, nil
 	}
 	mReplays.Inc()
-	if len(final) == 0 {
-		// Nothing survives: there is no surviving-set analysis to run.
-		out.FullReplay = true
-		return out, nil
-	}
 
-	rd, err := replayDesign(d, final)
-	if err != nil {
-		return Outcome{}, err
-	}
-	sigs := make([]noc.Signal, 0, len(final))
-	for sig := range final {
-		sigs = append(sigs, sig)
-	}
-	sortSignals(sigs)
-	losses := make([]*loss.SignalLoss, len(sigs))
-	for i, sig := range sigs {
-		r := final[sig]
-		sl := lrep.Signals[sig]
-		if r != d.Routes[sig] {
-			// Promoted onto the spare: price the protection route.
-			sl, err = loss.ForRoute(rd, banks, plan, sig, r)
-			if err != nil {
+	// Resolve final routes in canonical order: primary if alive, else
+	// the spare (promotion, re-priced on the protection route), else
+	// lost.
+	sigs := make([]noc.Signal, 0, len(rp.sigs))
+	losses := make([]*loss.SignalLoss, 0, len(rp.sigs))
+	for i, sig := range rp.sigs {
+		sl := rp.losses[i]
+		if deadPrimary[sig] {
+			spare := d.SpareRoutes[sig]
+			if spare == nil || deadSpare[sig] {
+				out.Lost = append(out.Lost, sig)
+				continue
+			}
+			out.Promoted = append(out.Promoted, sig)
+			var err error
+			if sl, err = loss.ForRoute(d, rp.banks, rp.plan, sig, spare); err != nil {
 				return Outcome{}, fmt.Errorf("faults: pricing spare route for %v: %w", sig, err)
 			}
 		}
@@ -369,18 +385,25 @@ func replayScenario(ctx context.Context, d *router.Design, plan *pdn.Plan, banks
 			cp.IL += db
 			sl = &cp
 		}
-		losses[i] = sl
+		sigs = append(sigs, sig)
+		losses = append(losses, sl)
 	}
-	lrep2 := loss.Summarize(rd, sigs, losses)
-	xrep2, err := xtalk.AnalyzeCtx(ctx, rd, plan, lrep2)
+	out.Survived = len(sigs)
+	out.FullReplay = true
+	if len(sigs) == 0 {
+		// Nothing survives: there is no surviving-set analysis to run.
+		return out, nil
+	}
+
+	lrep2 := loss.Summarize(d, sigs, losses)
+	xrep2, err := rp.engine.Analyze(rp.plan, lrep2, xtalk.Options{})
 	if err != nil {
 		return Outcome{}, fmt.Errorf("faults: replay crosstalk analysis: %w", err)
 	}
-	out.FullReplay = true
 	out.WorstIL = lrep2.WorstIL
 	out.WorstSNR = xrep2.WorstSNR
 	out.TotalPowerMW = lrep2.TotalPowerMW
-	out.DegradationDB = lrep2.WorstIL - lrep.WorstIL
+	out.DegradationDB = lrep2.WorstIL - rp.lrep.WorstIL
 	return out, nil
 }
 
@@ -425,21 +448,6 @@ func killSegment(d *router.Design, f Fault, deadPrimary, deadSpare map[noc.Signa
 			}
 		}
 	}
-}
-
-// replayDesign builds a lightweight clone sharing the nominal geometry,
-// waveguide and shortcut structures, carrying only the post-fault route
-// table. Clones are analysis inputs, never validated or serialized.
-func replayDesign(d *router.Design, final map[noc.Signal]*router.Route) (*router.Design, error) {
-	rd, err := router.NewDesign(d.Net, d.Par, d.Tour, d.EdgeOrders)
-	if err != nil {
-		return nil, fmt.Errorf("faults: replay design: %w", err)
-	}
-	rd.Waveguides = d.Waveguides
-	rd.Shortcuts = d.Shortcuts
-	rd.MaxWL = d.MaxWL
-	rd.Routes = final
-	return rd, nil
 }
 
 func sortSignals(sigs []noc.Signal) {

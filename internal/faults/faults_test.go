@@ -9,13 +9,14 @@ import (
 	"xring/internal/core"
 	"xring/internal/loss"
 	"xring/internal/noc"
+	"xring/internal/parallel"
 	"xring/internal/pdn"
 	"xring/internal/router"
 	"xring/internal/xtalk"
 )
 
 // synth builds an 8-node design, optionally fault-tolerant (k=1).
-func synth(t *testing.T, k int, withPDN bool) (*router.Design, *pdn.Plan) {
+func synth(t testing.TB, k int, withPDN bool) (*router.Design, *pdn.Plan) {
 	t.Helper()
 	res, err := core.Synthesize(noc.Floorplan8(), core.Options{
 		MaxWL: 8, WithPDN: withPDN, FaultTolerance: k,
@@ -226,25 +227,35 @@ func TestDetuneDegradesWithoutLoss(t *testing.T) {
 }
 
 // TestParallelMatchesSerial pins the canonical reduction: the parallel
-// fan-out must reproduce the serial outcome list bit-for-bit. CI runs
-// this under -race to exercise the fan-out for data races.
+// fan-out, whose workers share one crosstalk Engine, must reproduce the
+// serial outcome list bit-for-bit. The comb-PDN case makes every replay
+// walk PDN-crossing leakage through that Engine. CI runs this under
+// -race to exercise the fan-out for data races.
 func TestParallelMatchesSerial(t *testing.T) {
-	d, plan := synth(t, 1, true)
-	u := Universe(d, []Kind{KindMRR, KindSegment, KindDetune}, 0)
-	scs, err := EnumerateK(u, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := Analyze(context.Background(), d, plan, scs, Options{Serial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Analyze(context.Background(), d, plan, scs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Fatal("parallel fan-out diverged from serial replay")
+	parallel.SetWorkers(4) // several replay workers even on small hosts
+	defer parallel.SetWorkers(0)
+	for _, c := range []replayCase{
+		{"xring8-ft1", func(tb testing.TB) (*router.Design, *pdn.Plan) { return synth(tb, 1, true) }},
+		caseORNoC8Comb,
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d, plan := c.design(t)
+			scs, err := EnumerateK(Universe(d, allFaultKinds, 0), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial, err := Analyze(context.Background(), d, plan, scs, Options{Serial: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := Analyze(context.Background(), d, plan, scs, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(serial, par) {
+				t.Fatal("parallel fan-out diverged from serial replay")
+			}
+		})
 	}
 }
 
@@ -255,9 +266,9 @@ func TestCombinations(t *testing.T) {
 		{6, 6, 100, 1},
 		{6, 7, 100, 0},
 		{6, -1, 100, 0},
-		{10, 3, 120, 120},       // exactly at the limit: exact count
-		{10, 3, 119, 120},       // over the limit: saturates at limit+1
-		{1885, 3, 4096, 4097},   // realistic whatif universe, k=3: must saturate, not overflow
+		{10, 3, 120, 120},        // exactly at the limit: exact count
+		{10, 3, 119, 120},        // over the limit: saturates at limit+1
+		{1885, 3, 4096, 4097},    // realistic whatif universe, k=3: must saturate, not overflow
 		{1 << 30, 5, 4096, 4097}, // huge n: the running product must saturate before overflowing
 	}
 	for _, c := range cases {
