@@ -1,10 +1,8 @@
 package service
 
-// eventLog is the append-only event stream shared by jobs and
-// explorations: publish stamps sequence numbers and fans out to
-// subscribers, subscribe replays history gaplessly before going live.
-// It was extracted from job so /v1/explore studies stream over exactly
-// the machinery /v1/jobs/{id}/events already uses.
+// eventLog is the append-only event stream of every run (see run.go):
+// publish stamps sequence numbers and fans out to subscribers,
+// subscribe replays history gaplessly before going live.
 
 import "sync"
 

@@ -17,10 +17,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"xring/internal/explore"
@@ -88,16 +86,10 @@ type FrontierBody struct {
 
 // exploration is the server-side record of one grid study.
 type exploration struct {
-	id      string
-	traceID string
-	started time.Time
-	log     eventLog
-	done    chan struct{}
-
+	run
 	frontier *explore.Frontier
 
-	mu        sync.Mutex
-	state     JobState
+	// Guarded by run.mu.
 	cells     []CellStatus
 	completed int
 	ok        int
@@ -105,7 +97,6 @@ type exploration struct {
 	failed    int
 	cacheHits int
 	dedupHits int
-	elapsedMS float64
 }
 
 // status snapshots the study for the HTTP surface. withFrontier adds
@@ -126,15 +117,6 @@ func (x *exploration) status(withFrontier bool) *ExploreStatus {
 		st.Frontier = x.frontier.Points()
 	}
 	return st
-}
-
-func (x *exploration) terminal() bool {
-	select {
-	case <-x.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // exploreID builds a stable study identifier: an admission sequence
@@ -196,8 +178,6 @@ func pointFor(cellID, key string, sum *Summary) explore.Point {
 }
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	s.st.exploreStudies.Add(1)
-	mExploreStudies.Inc()
 	traceID := string(requestTraceID(r))
 	w.Header().Set("X-Trace-Id", traceID)
 	var req ExploreRequest
@@ -236,41 +216,30 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		}
 		keys[i] = canonicalKey(rrs[i])
 	}
-	if s.draining.Load() {
-		s.st.drained.Add(1)
-		mRejectedDrain.Inc()
-		w.Header().Set("Retry-After", "5")
-		writeErrorTraced(w, http.StatusServiceUnavailable, errors.New("server is draining"), traceID)
-		return
-	}
-
 	deadline := s.cfg.DefaultDeadline
 	if req.CellDeadlineMS > 0 {
 		deadline = time.Duration(req.CellDeadlineMS) * time.Millisecond
 	}
 
-	x := &exploration{
-		id:       exploreID(s.exploreSeq.Add(1), keys),
-		traceID:  traceID,
-		started:  time.Now(),
-		log:      eventLog{traceID: traceID},
-		done:     make(chan struct{}),
-		frontier: explore.NewFrontier(),
-		state:    StateQueued,
-	}
-	x.cells = make([]CellStatus, len(cells))
-	for i, c := range cells {
-		x.cells[i] = CellStatus{Index: c.Index, ID: c.ID, Key: keys[i]}
-	}
-	x.log.publish(Event{Type: "queued", Attrs: map[string]any{"cells": len(cells)}})
-
 	s.mu.Lock()
-	s.retainExplorationLocked(x)
+	x, err := s.explorations.admitLocked(func(seq uint64) (*exploration, error) {
+		x := &exploration{frontier: explore.NewFrontier(), cells: make([]CellStatus, len(cells))}
+		for i, c := range cells {
+			x.cells[i] = CellStatus{Index: c.Index, ID: c.ID, Key: keys[i]}
+		}
+		x.init(exploreID(seq, keys), traceID, map[string]any{"cells": len(cells)})
+		return x, nil
+	}, func(x *exploration) { s.runExploration(x, cells, rrs, keys, deadline) })
 	s.mu.Unlock()
+	if err != nil {
+		s.rejectDraining(w, traceID)
+		return
+	}
+	// Studies count on admission: 400s and 503s are not studies.
+	s.st.exploreStudies.Add(1)
+	mExploreStudies.Inc()
 	s.st.exploreCells.Add(int64(len(cells)))
 	mExploreCells.Add(int64(len(cells)))
-	s.wg.Add(1)
-	go s.runExploration(x, cells, rrs, keys, deadline)
 
 	if req.Async {
 		w.Header().Set("Location", "/v1/explore/"+x.id)
@@ -290,15 +259,11 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 // mint a million-cell grid).
 const maxExploreCells = 4096
 
-// runExploration is the study controller, on its own goroutine
-// (accounted in s.wg, so Drain waits for running studies like it waits
-// for jobs).
+// runExploration is the study controller, on the goroutine admission
+// started for it (so Drain waits for running studies like it waits for
+// jobs).
 func (s *Server) runExploration(x *exploration, cells []explore.Cell, rrs []*resolved, keys []string, deadline time.Duration) {
-	defer s.wg.Done()
-	x.mu.Lock()
-	x.state = StateRunning
-	x.mu.Unlock()
-	x.log.publish(Event{Type: "started"})
+	x.start()
 
 	runner := &explore.Runner{
 		Concurrency: s.cfg.ExploreCellConcurrency,
@@ -310,14 +275,7 @@ func (s *Server) runExploration(x *exploration, cells []explore.Cell, rrs []*res
 	// isolated inside run); a study never fails as a whole.
 	_ = runner.RunAll(context.Background(), cells)
 
-	elapsed := time.Since(x.started)
-	x.mu.Lock()
-	x.state = StateDone
-	x.elapsedMS = float64(elapsed.Microseconds()) / 1000
-	x.mu.Unlock()
-	mExploreStudyMS.Observe(float64(elapsed.Microseconds()) / 1000)
-	x.log.publish(Event{Type: "done", Attrs: map[string]any{"frontier": x.frontier.Size()}})
-	close(x.done)
+	mExploreStudyMS.Observe(x.finish(nil, map[string]any{"frontier": x.frontier.Size()}, nil))
 }
 
 // runCell executes one cell: cache tiers first, then singleflight
@@ -354,9 +312,12 @@ func (s *Server) runCell(x *exploration, c explore.Cell, rr *resolved, key strin
 			<-j.done
 		} else {
 			mCacheMisses.Inc()
-			j = newJob(jobID(s.seq.Add(1), key), key, x.traceID, rr, deadline)
+			// A cell belongs to an admitted study, so it bypasses the
+			// drain rule: Drain waits for the study, cells included.
+			j, _ = s.jobs.addLocked(func(seq uint64) (*job, error) {
+				return newJob(seq, key, x.traceID, rr, deadline), nil
+			})
 			s.inflight[key] = j
-			s.retainJobLocked(j)
 			s.mu.Unlock()
 			source = "synthesized"
 			s.run(j)
@@ -430,58 +391,18 @@ func (s *Server) runCell(x *exploration, c explore.Cell, rr *resolved, key strin
 	x.log.publish(ev)
 }
 
-// retainExplorationLocked registers a study and evicts the oldest
-// finished studies beyond the retention cap. Callers hold s.mu.
-func (s *Server) retainExplorationLocked(x *exploration) {
-	s.explorations[x.id] = x
-	s.exploreOrder = append(s.exploreOrder, x.id)
-	for len(s.exploreOrder) > s.cfg.MaxExplorations {
-		evicted := false
-		for i, id := range s.exploreOrder {
-			if old, ok := s.explorations[id]; ok && old.terminal() {
-				delete(s.explorations, id)
-				s.exploreOrder = append(s.exploreOrder[:i], s.exploreOrder[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break // every retained study is still live; retain them all
-		}
-	}
-}
-
-func (s *Server) lookupExploration(id string) *exploration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.explorations[id]
-}
-
 func (s *Server) handleExploreStatus(w http.ResponseWriter, r *http.Request) {
-	x := s.lookupExploration(r.PathValue("id"))
-	if x == nil {
-		writeError(w, http.StatusNotFound, errors.New("unknown exploration"))
-		return
+	if x, ok := s.explorations.lookup(w, r); ok {
+		writeJSON(w, http.StatusOK, x.status(true))
 	}
-	writeJSON(w, http.StatusOK, x.status(true))
-}
-
-func (s *Server) handleExploreEvents(w http.ResponseWriter, r *http.Request) {
-	x := s.lookupExploration(r.PathValue("id"))
-	if x == nil {
-		writeError(w, http.StatusNotFound, errors.New("unknown exploration"))
-		return
-	}
-	streamLog(w, r, &x.log)
 }
 
 // handleExploreFrontier serves the study's current Pareto frontier —
 // canonically sorted and byte-deterministic for a given set of
 // completed cells. ?format=csv renders the CSV export.
 func (s *Server) handleExploreFrontier(w http.ResponseWriter, r *http.Request) {
-	x := s.lookupExploration(r.PathValue("id"))
-	if x == nil {
-		writeError(w, http.StatusNotFound, errors.New("unknown exploration"))
+	x, ok := s.explorations.lookup(w, r)
+	if !ok {
 		return
 	}
 	if r.URL.Query().Get("format") == "csv" {

@@ -459,3 +459,32 @@ func TestCacheServeCountsOneTier(t *testing.T) {
 		t.Errorf("persist serve: persistHits=%d cacheHits=%d, want 1/0", st.PersistHits, st.CacheHits)
 	}
 }
+
+// TestExploreStudiesCountOnAdmission: exploreStudies counts admitted
+// studies only, so a malformed body, an over-cap grid and a draining
+// server each leave it at zero.
+func TestExploreStudiesCountOnAdmission(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	policies := strings.Repeat(`{},`, maxExploreCells) + `{}`
+	for name, body := range map[string]string{
+		"malformed": `{not json`,
+		"over cap":  `{"grid": {"floorplans": [{"network": {"standard": 8}}], "budgets": [4], "policies": [` + policies + `]}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/explore", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	drainServer(t, s)
+	resp, data := postExplore(t, ts.URL, &ExploreRequest{Grid: exploreGrid(4)})
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("draining: status %d, want 503; body %s", resp.StatusCode, data)
+	}
+	if got := s.Stats().ExploreStudies; got != 0 {
+		t.Errorf("exploreStudies = %d after three refused studies, want 0", got)
+	}
+}

@@ -7,7 +7,6 @@ package service
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -40,30 +39,15 @@ type Event struct {
 
 // job is the server-side record of one synthesis run.
 type job struct {
-	id  string
+	run
 	key string
-	// traceID is the W3C trace ID of the admitting request (accepted
-	// from its traceparent header or generated), immutable thereafter.
-	traceID string
-	req     *resolved
+	req *resolved
 	// deadline is the per-job synthesis budget (0 = none).
 	deadline time.Duration
-	// enqueued is the admission instant; run() observes the queue wait.
-	enqueued time.Time
 
-	// done closes when the job reaches a terminal state.
-	done chan struct{}
-
-	// log is the job's event stream (shared publish/subscribe machinery
-	// with explorations; see events.go).
-	log eventLog
-
-	mu    sync.Mutex
-	state JobState
-	// result payload on success; err on failure.
+	// result payload on success (guarded by run.mu).
 	summary *Summary
 	design  []byte
-	err     error
 	// dedupWaiters counts requests that attached to this job instead of
 	// starting their own (singleflight hits).
 	dedupWaiters int
@@ -72,52 +56,10 @@ type job struct {
 	peerFilled bool
 }
 
-func newJob(id, key, traceID string, req *resolved, deadline time.Duration) *job {
-	j := &job{
-		id:       id,
-		key:      key,
-		traceID:  traceID,
-		req:      req,
-		deadline: deadline,
-		enqueued: time.Now(),
-		done:     make(chan struct{}),
-		log:      eventLog{traceID: traceID},
-		state:    StateQueued,
-	}
-	j.publish(Event{Type: "queued"})
+func newJob(seq uint64, key, traceID string, req *resolved, deadline time.Duration) *job {
+	j := &job{key: key, req: req, deadline: deadline}
+	j.init(jobID(seq, key), traceID, nil)
 	return j
-}
-
-// publish appends an event to the job's stream.
-func (j *job) publish(ev Event) { j.log.publish(ev) }
-
-// setRunning transitions queued -> running.
-func (j *job) setRunning() {
-	j.mu.Lock()
-	j.state = StateRunning
-	j.mu.Unlock()
-	j.publish(Event{Type: "started"})
-}
-
-// finish transitions to the terminal state, publishes the final event
-// and wakes every waiter.
-func (j *job) finish(summary *Summary, design []byte, err error) {
-	j.mu.Lock()
-	if err != nil {
-		j.state = StateFailed
-		j.err = err
-	} else {
-		j.state = StateDone
-		j.summary = summary
-		j.design = design
-	}
-	j.mu.Unlock()
-	if err != nil {
-		j.publish(Event{Type: "failed", Error: err.Error()})
-	} else {
-		j.publish(Event{Type: "done"})
-	}
-	close(j.done)
 }
 
 // snapshot returns the job's state for the status endpoint.
@@ -126,16 +68,6 @@ func (j *job) snapshot() (state JobState, events int, summary *Summary, err erro
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state, events, j.summary, j.err
-}
-
-// terminal reports whether the job has finished.
-func (j *job) terminal() bool {
-	select {
-	case <-j.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // attach counts a deduplicated waiter.

@@ -137,9 +137,9 @@ func (e *StageTimeoutError) Error() string {
 // progress bridge, synthesis (panics contained), serialization, cache
 // fill (memory and disk tiers), singleflight release.
 func (s *Server) run(j *job) {
-	queueWait := time.Since(j.enqueued)
+	queueWait := time.Since(j.started)
 	mQueueWaitMS.Observe(float64(queueWait.Microseconds()) / 1000)
-	j.setRunning()
+	j.start()
 	mInflight.Add(1)
 	s.running.Add(1)
 	defer func() {
@@ -193,7 +193,7 @@ func (s *Server) run(j *job) {
 		stageMu.Lock()
 		stages = append(stages, obs.StageTiming{Name: rec.Name, DurMS: float64(rec.DurNS) / 1e6})
 		stageMu.Unlock()
-		j.publish(Event{
+		j.log.publish(Event{
 			Type:  "stage",
 			Stage: rec.Name,
 			DurMS: float64(rec.DurNS) / 1e6,
@@ -315,7 +315,11 @@ func (s *Server) run(j *job) {
 		delete(s.inflight, j.key)
 	}
 	s.mu.Unlock()
-	j.finish(summary, design, err)
+	var store func()
+	if err == nil {
+		store = func() { j.summary, j.design = summary, design }
+	}
+	j.finish(err, nil, store)
 }
 
 // classifyOutcome buckets a finished job for the outcome-split duration
@@ -391,16 +395,16 @@ func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/synthesize", s.handleSynthesize)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
+	mux.HandleFunc("GET /v1/jobs/{id}/events", s.jobs.handleEvents)
 	mux.HandleFunc("GET /v1/jobs/{id}/design", s.handleJobDesign)
 	mux.HandleFunc("GET /v1/designs/{key}", s.handleDesignByKey)
 	mux.HandleFunc("POST /v1/explore", s.handleExplore)
 	mux.HandleFunc("GET /v1/explore/{id}", s.handleExploreStatus)
-	mux.HandleFunc("GET /v1/explore/{id}/events", s.handleExploreEvents)
+	mux.HandleFunc("GET /v1/explore/{id}/events", s.explorations.handleEvents)
 	mux.HandleFunc("GET /v1/explore/{id}/frontier", s.handleExploreFrontier)
 	mux.HandleFunc("POST /v1/whatif", s.handleWhatif)
 	mux.HandleFunc("GET /v1/whatif/{id}", s.handleWhatifStatus)
-	mux.HandleFunc("GET /v1/whatif/{id}/events", s.handleWhatifEvents)
+	mux.HandleFunc("GET /v1/whatif/{id}/events", s.whatifs.handleEvents)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -454,6 +458,9 @@ func requestTraceID(r *http.Request) obs.TraceID {
 	return obs.NewTraceID()
 }
 
+// errQueueFull refuses a job when the bounded admission queue is full.
+var errQueueFull = errors.New("job queue full")
+
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	s.st.requests.Add(1)
 	mRequests.Inc()
@@ -493,8 +500,8 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 	}
 
-	// Admission under the lock: singleflight attach, drain rejection,
-	// then a non-blocking enqueue against the bounded queue.
+	// Admission under the lock: singleflight attach, then the drain rule
+	// and a non-blocking enqueue against the bounded queue.
 	s.mu.Lock()
 	j, attached := s.inflight[key]
 	attached = attached && !j.terminal()
@@ -504,19 +511,25 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		s.st.dedupHits.Add(1)
 		mDedupHits.Inc()
 	} else {
-		if s.draining.Load() {
-			s.mu.Unlock()
-			s.st.drained.Add(1)
-			mRejectedDrain.Inc()
-			w.Header().Set("Retry-After", "5")
-			writeErrorTraced(w, http.StatusServiceUnavailable, errors.New("server is draining"), traceID)
-			return
+		j, err = s.jobs.admitLocked(func(seq uint64) (*job, error) {
+			j := newJob(seq, key, traceID, rr, deadline)
+			select {
+			case s.queue <- j:
+				return j, nil
+			default:
+				return nil, errQueueFull
+			}
+		}, nil)
+		if err == nil {
+			mQueueDepth.Set(int64(len(s.queue)))
+			s.inflight[key] = j
 		}
-		j = newJob(jobID(s.seq.Add(1), key), key, traceID, rr, deadline)
-		select {
-		case s.queue <- j:
-		default:
-			s.mu.Unlock()
+		s.mu.Unlock()
+		switch {
+		case errors.Is(err, errDraining):
+			s.rejectDraining(w, traceID)
+			return
+		case errors.Is(err, errQueueFull):
 			s.st.rejected.Add(1)
 			mRejectedFull.Inc()
 			w.Header().Set("Retry-After", "1")
@@ -524,10 +537,6 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("job queue full (depth %d)", s.cfg.QueueDepth), traceID)
 			return
 		}
-		mQueueDepth.Set(int64(len(s.queue)))
-		s.inflight[key] = j
-		s.retainJobLocked(j)
-		s.mu.Unlock()
 	}
 
 	source := "synthesized"
@@ -573,37 +582,9 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// retainJobLocked registers a job record and evicts the oldest
-// finished records beyond the retention cap. Callers hold s.mu.
-func (s *Server) retainJobLocked(j *job) {
-	s.jobs[j.id] = j
-	s.jobOrder = append(s.jobOrder, j.id)
-	for len(s.jobOrder) > s.cfg.MaxJobs {
-		evicted := false
-		for i, id := range s.jobOrder {
-			if old, ok := s.jobs[id]; ok && old.terminal() {
-				delete(s.jobs, id)
-				s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break // every retained job is still live; retain them all
-		}
-	}
-}
-
-func (s *Server) lookup(id string) *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
-}
-
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, errors.New("unknown job"))
+	j, ok := s.jobs.lookup(w, r)
+	if !ok {
 		return
 	}
 	state, events, summary, jerr := j.snapshot()
@@ -614,20 +595,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleEvents streams the job's progress as Server-Sent Events:
-// a gapless replay of everything published so far, then live events
-// until the job finishes or the client disconnects.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, errors.New("unknown job"))
-		return
-	}
-	streamLog(w, r, &j.log)
-}
-
-// streamLog is the SSE loop shared by job and exploration event
-// endpoints: gapless replay of the log's history, then live events,
+// streamLog is the SSE loop behind every events endpoint: gapless
+// replay of the log's history, then live events,
 // until a terminal event ("done"/"failed") or client disconnect.
 func streamLog(w http.ResponseWriter, r *http.Request, l *eventLog) {
 	flusher, ok := w.(http.Flusher)
@@ -687,9 +656,8 @@ func writeSSE(w http.ResponseWriter, ev Event) error {
 // handleJobDesign serves the job result's exact designio.Save bytes —
 // byte-identical to running the same request through the library.
 func (s *Server) handleJobDesign(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, errors.New("unknown job"))
+	j, ok := s.jobs.lookup(w, r)
+	if !ok {
 		return
 	}
 	state, _, _, jerr := j.snapshot()

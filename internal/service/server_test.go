@@ -17,6 +17,9 @@ import (
 
 	"xring/internal/core"
 	"xring/internal/designio"
+	"xring/internal/faults"
+	"xring/internal/pdn"
+	"xring/internal/router"
 )
 
 // newTestServer starts a service plus its HTTP front. Cleanup drains
@@ -216,75 +219,211 @@ func TestQueueFullRejects429(t *testing.T) {
 	}
 }
 
+// TestDrainCompletesAdmittedJobsAndRejectsNew pins the one drain rule
+// for every run kind: a run admitted before Drain, or racing it, is
+// terminal when Drain returns (and Drain does not return while one is
+// held live), and a submission during drain gets 503 + Retry-After and
+// moves no counter but the drain refusals.
 func TestDrainCompletesAdmittedJobsAndRejectsNew(t *testing.T) {
-	g := newGate()
-	s, err := New(Config{QueueDepth: 8, Workers: 1, Synth: g.synth})
-	if err != nil {
-		t.Fatal(err)
+	kinds := []struct {
+		name, post, status string
+		body               func(key string, i int) any // the i-th async submission
+	}{
+		{"synthesize", "/v1/synthesize", "/v1/jobs/", func(_ string, i int) any {
+			req := quadRequest(i)
+			req.Async = true
+			return req
+		}},
+		{"explore", "/v1/explore", "/v1/explore/", func(string, int) any {
+			return &ExploreRequest{Grid: exploreGrid(4), Async: true}
+		}},
+		{"whatif", "/v1/whatif", "/v1/whatif/", func(key string, _ int) any {
+			return &WhatifRequest{Key: key, Faults: WhatifFaults{Kinds: []string{"mrr"}}, Async: true}
+		}},
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			g := newGate()
+			s, err := New(Config{QueueDepth: 16, Workers: 1, Synth: g.synth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Replays park in a gate of their own.
+			rg := newGate()
+			analyze := s.analyze
+			s.analyze = func(ctx context.Context, d *router.Design, plan *pdn.Plan, scs []faults.Scenario, opt faults.Options) (*faults.Report, error) {
+				rg.started <- "replay"
+				<-rg.release
+				return analyze(ctx, d, plan, scs, opt)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			key, held := "", g // held parks the admitted runs
+			submit := func(i int) (*http.Response, []byte, error) {
+				body, _ := json.Marshal(k.body(key, i))
+				resp, err := http.Post(ts.URL+k.post, "application/json", bytes.NewReader(body))
+				if err != nil {
+					return nil, nil, err
+				}
+				defer resp.Body.Close()
+				data, err := io.ReadAll(resp.Body)
+				return resp, data, err
+			}
 
-	const admitted = 4
-	ids := make([]string, admitted)
-	for i := 0; i < admitted; i++ {
-		req := quadRequest(i)
-		req.Async = true
-		resp, data := postSynth(t, ts.URL, req)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %d: status %d, body %s", i, resp.StatusCode, data)
-		}
-		ids[i] = decodeResponse(t, data).JobID
-	}
-	<-g.started // worker is mid-job; the rest sit in the queue
+			if k.name == "whatif" {
+				// A replay needs a cached design and never synthesizes.
+				held = rg
+				g.open()
+				resp, data := postSynth(t, ts.URL, quadRequest(0))
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("synthesize: status %d, body %s", resp.StatusCode, data)
+				}
+				key = decodeResponse(t, data).Key
+			}
+			const admitted = 3
+			ids := make([]string, admitted)
+			for i := range ids {
+				resp, data, err := submit(i)
+				if err != nil || resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("submit %d: %v, body %s", i, err, data)
+				}
+				var ref struct{ JobID, ID string }
+				if err := json.Unmarshal(data, &ref); err != nil {
+					t.Fatal(err)
+				}
+				ids[i] = ref.JobID + ref.ID
+			}
 
-	drainErr := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		drainErr <- s.Drain(ctx)
-	}()
-	for !s.Draining() {
-		time.Sleep(time.Millisecond)
-	}
+			<-held.started // an admitted run is parked mid-run when Drain begins
 
-	// New work is now refused...
-	resp, data := postSynth(t, ts.URL, quadRequest(9))
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("submit while draining: status %d, want 503; body %s", resp.StatusCode, data)
-	}
-	if rz, err := http.Get(ts.URL + "/readyz"); err != nil {
-		t.Fatal(err)
-	} else {
-		io.Copy(io.Discard, rz.Body)
-		rz.Body.Close()
-		if rz.StatusCode != http.StatusServiceUnavailable {
-			t.Errorf("/readyz while draining: status %d, want 503", rz.StatusCode)
-		}
-	}
+			// Submissions racing Drain are each either admitted or refused.
+			var racers sync.WaitGroup
+			raced := make(chan int, 4)
+			for i := 0; i < cap(raced); i++ {
+				racers.Add(1)
+				go func(i int) {
+					defer racers.Done()
+					if resp, _, err := submit(admitted + i); err == nil {
+						raced <- resp.StatusCode
+					}
+				}(i)
+			}
+			drainErr := make(chan error, 1)
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
+				drainErr <- s.Drain(ctx)
+			}()
+			for !s.Draining() {
+				time.Sleep(time.Millisecond)
+			}
 
-	// ...but every admitted job still completes: zero drops.
-	g.open()
-	if err := <-drainErr; err != nil {
-		t.Fatalf("drain: %v", err)
+			// New work is now refused...
+			resp, data, err := submit(9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("submit while draining: status %d, want 503; body %s", resp.StatusCode, data)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Error("503 while draining has no Retry-After")
+			}
+			if rz, err := http.Get(ts.URL + "/readyz"); err != nil {
+				t.Fatal(err)
+			} else {
+				io.Copy(io.Discard, rz.Body)
+				rz.Body.Close()
+				if rz.StatusCode != http.StatusServiceUnavailable {
+					t.Errorf("/readyz while draining: status %d, want 503", rz.StatusCode)
+				}
+			}
+
+			// ...Drain waits for the held run...
+			select {
+			case err := <-drainErr:
+				held.open()
+				t.Fatalf("Drain returned (%v) while an admitted %s run was live", err, k.name)
+			case <-time.After(50 * time.Millisecond):
+			}
+
+			// ...and every admitted run is terminal once Drain returns.
+			held.open()
+			if err := <-drainErr; err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			if n := liveRuns(s.jobs) + liveRuns(s.explorations) + liveRuns(s.whatifs); n != 0 {
+				t.Errorf("%d admitted runs still live after Drain returned", n)
+			}
+			racers.Wait()
+			close(raced)
+			racedIn := 0
+			for code := range raced {
+				switch code {
+				case http.StatusAccepted:
+					racedIn++
+				case http.StatusServiceUnavailable:
+				default:
+					t.Errorf("submit racing Drain: status %d, want 202 or 503", code)
+				}
+			}
+			for _, id := range ids {
+				resp, err := http.Get(ts.URL + k.status + id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var st struct {
+					State JobState
+					Error string
+				}
+				if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+					t.Fatalf("decode status: %v", err)
+				}
+				resp.Body.Close()
+				if st.State != StateDone {
+					t.Errorf("%s state = %s after drain, want done (error %q)", id, st.State, st.Error)
+				}
+			}
+
+			// Every admitted job was really synthesized, and no refused one
+			// reached the engine.
+			if k.name == "synthesize" {
+				if st := s.Stats(); st.Synthesized != int64(admitted+racedIn) {
+					t.Errorf("stats.Synthesized = %d, want %d (%d admitted + %d racers admitted)",
+						st.Synthesized, admitted+racedIn, admitted, racedIn)
+				}
+			}
+
+			// A refused submission moves no counter but Drained: not the
+			// cache-tier serves, not the run counts, not the engine's.
+			before := s.Stats()
+			if resp, data, err := submit(9); err != nil || resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("submit after drain: %v, body %s", err, data)
+			}
+			after := s.Stats()
+			if after.Drained != before.Drained+1 {
+				t.Errorf("stats.Drained = %d after a 503, want %d", after.Drained, before.Drained+1)
+			}
+			after.Requests, after.Drained = before.Requests, before.Drained
+			after.UptimeSec, after.BuildInfo = before.UptimeSec, before.BuildInfo
+			if after != before {
+				t.Errorf("a 503 moved counters:\n before %+v\n after  %+v", before, after)
+			}
+		})
 	}
-	for _, id := range ids {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st JobStatus
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatalf("decode status: %v", err)
-		}
-		resp.Body.Close()
-		if st.State != StateDone {
-			t.Errorf("job %s state = %s after drain, want done (error %q)", id, st.State, st.Error)
+}
+
+// liveRuns counts the registry's records that are not yet terminal.
+func liveRuns[T record](g *registry[T]) int {
+	g.s.mu.Lock()
+	defer g.s.mu.Unlock()
+	n := 0
+	for _, rec := range g.byID {
+		if !rec.base().terminal() {
+			n++
 		}
 	}
-	if st := s.Stats(); st.Synthesized != admitted {
-		t.Errorf("stats.Synthesized = %d, want %d", st.Synthesized, admitted)
-	}
+	return n
 }
 
 func TestDeadlineExpiryFailsJobWith504(t *testing.T) {

@@ -52,9 +52,12 @@ import (
 	"time"
 
 	"xring/internal/core"
+	"xring/internal/faults"
 	"xring/internal/milp"
 	"xring/internal/obs"
+	"xring/internal/pdn"
 	"xring/internal/resilience"
+	"xring/internal/router"
 )
 
 func init() {
@@ -85,20 +88,11 @@ type Config struct {
 	// DefaultDeadline applies when a request sets no deadlineMS
 	// (default none).
 	DefaultDeadline time.Duration
-	// MaxJobs bounds retained job records for status/event queries;
-	// the oldest finished jobs are evicted beyond it (default 1024).
-	MaxJobs int
 	// ExploreCellConcurrency bounds concurrently running cells within
 	// one /v1/explore study; 0 (the default) fans cells over the shared
 	// internal/parallel worker budget, so cross-cell and engine-internal
 	// parallelism are bounded together.
 	ExploreCellConcurrency int
-	// MaxExplorations bounds retained exploration records; the oldest
-	// finished studies are evicted beyond it (default 64).
-	MaxExplorations int
-	// MaxWhatifs bounds retained fault-replay records; the oldest
-	// finished replays are evicted beyond it (default 64).
-	MaxWhatifs int
 	// Synth overrides the engine call (tests only).
 	Synth SynthFunc
 
@@ -157,15 +151,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries < 0 {
 		c.CacheEntries = 0
 	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 1024
-	}
-	if c.MaxExplorations <= 0 {
-		c.MaxExplorations = 64
-	}
-	if c.MaxWhatifs <= 0 {
-		c.MaxWhatifs = 64
-	}
 	if c.Synth == nil {
 		c.Synth = engineSynth
 	}
@@ -195,18 +180,12 @@ type Server struct {
 	mux   *http.ServeMux
 	queue chan *job
 
-	mu       sync.Mutex
-	inflight map[string]*job // content key -> running/queued job (singleflight)
-	jobs     map[string]*job // job id -> record
-	jobOrder []string        // admission order, for bounded retention
-
-	explorations map[string]*exploration // study id -> record
-	exploreOrder []string                // admission order, for bounded retention
-	exploreSeq   atomic.Uint64
-
-	whatifs     map[string]*whatifRun // replay id -> record
-	whatifOrder []string              // admission order, for bounded retention
-	whatifSeq   atomic.Uint64
+	// mu guards inflight, the run registries and the drain flip.
+	mu           sync.Mutex
+	inflight     map[string]*job // content key -> running/queued job (singleflight)
+	jobs         *registry[*job]
+	explorations *registry[*exploration]
+	whatifs      *registry[*whatifRun]
 
 	cache    *resultCache
 	persist  *persistStore // nil unless Config.PersistDir is set
@@ -214,9 +193,11 @@ type Server struct {
 	flight   *obs.FlightRecorder
 	draining atomic.Bool
 	running  atomic.Int64 // jobs currently executing on a worker (readyz)
-	seq      atomic.Uint64
 	wg       sync.WaitGroup
 	st       stats
+	// analyze is the fault-replay engine, faults.Analyze (tests wrap it
+	// to hold a replay live).
+	analyze func(context.Context, *router.Design, *pdn.Plan, []faults.Scenario, faults.Options) (*faults.Report, error)
 
 	startedAt time.Time
 }
@@ -235,17 +216,18 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		cfg:          cfg,
-		queue:        make(chan *job, cfg.QueueDepth),
-		inflight:     map[string]*job{},
-		jobs:         map[string]*job{},
-		explorations: map[string]*exploration{},
-		whatifs:      map[string]*whatifRun{},
-		cache:        newResultCache(cfg.CacheEntries),
-		inj:          inj,
-		flight:       obs.NewFlightRecorder(cfg.FlightRecords),
-		startedAt:    time.Now(),
+		cfg:       cfg,
+		queue:     make(chan *job, cfg.QueueDepth),
+		inflight:  map[string]*job{},
+		cache:     newResultCache(cfg.CacheEntries),
+		inj:       inj,
+		flight:    obs.NewFlightRecorder(cfg.FlightRecords),
+		analyze:   faults.Analyze,
+		startedAt: time.Now(),
 	}
+	s.jobs = newRegistry[*job](s, "job", maxJobs)
+	s.explorations = newRegistry[*exploration](s, "exploration", maxExplorations)
+	s.whatifs = newRegistry[*whatifRun](s, "whatif", maxWhatifs)
 	if cfg.PersistDir != "" {
 		store, entries, err := newPersistStore(cfg.PersistDir, cfg.PersistEntries, inj, &s.st)
 		if err != nil {
@@ -282,11 +264,11 @@ func (s *Server) Stats() Stats {
 // Draining reports whether the server has begun shutting down.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Drain begins graceful shutdown: new submissions are rejected with
-// 503, every already-admitted job (queued or running) completes, and
-// Drain returns when the workers have exited — or when ctx expires,
-// in which case the remaining jobs keep running in the background and
-// an error is returned. Drain is idempotent.
+// Drain begins graceful shutdown: new submissions of every kind are
+// rejected with 503, every already-admitted job, study and replay
+// (queued or running) completes, and Drain returns when they have —
+// or when ctx expires, in which case the remaining runs keep going in
+// the background and an error is returned. Drain is idempotent.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining.Swap(true) {

@@ -17,8 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
-	"time"
 
 	"xring/internal/designio"
 	"xring/internal/faults"
@@ -103,23 +101,16 @@ type WhatifStatus struct {
 
 // whatifRun is the server-side record of one fault replay.
 type whatifRun struct {
-	id      string
-	traceID string
-	key     string
-	started time.Time
-	log     eventLog
-	done    chan struct{}
-
-	mu             sync.Mutex
-	state          JobState
+	run
+	key            string
 	universe       int
 	scenarios      int
-	completed      int
-	elapsedMS      float64
 	degraded       bool
 	degradedReason string
-	report         *faults.Report
-	err            error
+
+	// Guarded by run.mu.
+	completed int
+	report    *faults.Report
 }
 
 func (wr *whatifRun) status() *WhatifStatus {
@@ -137,15 +128,6 @@ func (wr *whatifRun) status() *WhatifStatus {
 		st.Error = wr.err.Error()
 	}
 	return st
-}
-
-func (wr *whatifRun) terminal() bool {
-	select {
-	case <-wr.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // whatifID builds a stable replay identifier: an admission sequence
@@ -303,13 +285,6 @@ func expandScenarios(d *router.Design, spec *WhatifFaults) ([]faults.Scenario, i
 func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	traceID := string(requestTraceID(r))
 	w.Header().Set("X-Trace-Id", traceID)
-	if s.draining.Load() {
-		s.st.drained.Add(1)
-		mRejectedDrain.Inc()
-		w.Header().Set("Retry-After", "5")
-		writeErrorTraced(w, http.StatusServiceUnavailable, errors.New("server is draining"), traceID)
-		return
-	}
 	var req WhatifRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
@@ -323,7 +298,6 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		writeErrorTraced(w, http.StatusNotFound, errors.New("design not cached"), traceID)
 		return
 	}
-	s.countCacheServe(tier)
 	d, err := designio.Load(c.design)
 	if err != nil {
 		writeErrorTraced(w, http.StatusInternalServerError,
@@ -337,37 +311,30 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec, _ := json.Marshal(&req.Faults)
-	wr := &whatifRun{
-		id:        whatifID(s.whatifSeq.Add(1), req.Key, spec),
-		traceID:   traceID,
-		key:       req.Key,
-		started:   time.Now(),
-		log:       eventLog{traceID: traceID},
-		done:      make(chan struct{}),
-		state:     StateQueued,
-		universe:  universe,
-		scenarios: len(scenarios),
-	}
-	if c.summary != nil {
-		wr.degraded = c.summary.Degraded
-		wr.degradedReason = c.summary.DegradedReason
-	}
-	wr.log.publish(Event{Type: "queued", Attrs: map[string]any{
-		"key": req.Key, "universe": universe, "scenarios": len(scenarios),
-	}})
-
 	s.mu.Lock()
-	s.retainWhatifLocked(wr)
+	wr, err := s.whatifs.admitLocked(func(seq uint64) (*whatifRun, error) {
+		wr := &whatifRun{key: req.Key, universe: universe, scenarios: len(scenarios)}
+		if c.summary != nil {
+			wr.degraded = c.summary.Degraded
+			wr.degradedReason = c.summary.DegradedReason
+		}
+		wr.init(whatifID(seq, req.Key, spec), traceID, map[string]any{
+			"key": req.Key, "universe": universe, "scenarios": len(scenarios),
+		})
+		return wr, nil
+	}, func(wr *whatifRun) { s.runWhatif(wr, d, scenarios, req.Serial) })
 	s.mu.Unlock()
-	// Runs count on admission (the replay is registered and will
-	// execute), not on handler entry: 404s and malformed bodies are not
-	// runs.
+	if err != nil {
+		s.rejectDraining(w, traceID)
+		return
+	}
+	// Runs and their cache serves count on admission: 404s, malformed
+	// bodies and 503s are neither.
+	s.countCacheServe(tier)
 	s.st.whatifRuns.Add(1)
 	mWhatifRuns.Inc()
 	s.st.whatifScenarios.Add(int64(len(scenarios)))
 	mWhatifScenarios.Add(int64(len(scenarios)))
-	s.wg.Add(1)
-	go s.runWhatif(wr, d, scenarios, req.Serial)
 
 	if req.Async {
 		w.Header().Set("Location", "/v1/whatif/"+wr.id)
@@ -383,39 +350,21 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, wr.status())
 }
 
-// runWhatif is the replay controller, on its own goroutine (accounted
-// in s.wg, so Drain waits for running replays like it waits for jobs).
+// runWhatif is the replay controller, on the goroutine admission
+// started for it (so Drain waits for running replays like it waits for
+// jobs).
 func (s *Server) runWhatif(wr *whatifRun, d *router.Design, scenarios []faults.Scenario, serial bool) {
-	defer s.wg.Done()
-	wr.mu.Lock()
-	wr.state = StateRunning
-	wr.mu.Unlock()
-	wr.log.publish(Event{Type: "started"})
-
+	wr.start()
 	rep, err := s.replayIsolated(wr, d, scenarios, serial)
-
-	elapsed := time.Since(wr.started)
-	wr.mu.Lock()
-	wr.elapsedMS = float64(elapsed.Microseconds()) / 1000
-	wr.report = rep
-	wr.err = err
-	if err != nil {
-		wr.state = StateFailed
-	} else {
-		wr.state = StateDone
-	}
-	wr.mu.Unlock()
-	mWhatifMS.Observe(float64(elapsed.Microseconds()) / 1000)
-	if err != nil {
-		wr.log.publish(Event{Type: "failed", Error: err.Error()})
-	} else {
-		wr.log.publish(Event{Type: "done", Attrs: map[string]any{
+	var doneAttrs map[string]any
+	if err == nil {
+		doneAttrs = map[string]any{
 			"fullSetSurvives": rep.FullSetSurvives,
 			"minSurvived":     rep.MinSurvived,
 			"maxLost":         rep.MaxLost,
-		}})
+		}
 	}
-	close(wr.done)
+	mWhatifMS.Observe(wr.finish(err, doneAttrs, func() { wr.report = rep }))
 }
 
 // replayIsolated runs the analyzer with panic containment and publishes
@@ -436,7 +385,7 @@ func (s *Server) replayIsolated(wr *whatifRun, d *router.Design, scenarios []fau
 			return nil, fmt.Errorf("rebuilding PDN for replay: %w", err)
 		}
 	}
-	return faults.Analyze(context.Background(), d, plan, scenarios, faults.Options{
+	return s.analyze(context.Background(), d, plan, scenarios, faults.Options{
 		Serial: serial,
 		OnOutcome: func(i int, o faults.Outcome) {
 			labels := make([]string, len(o.Scenario))
@@ -475,47 +424,8 @@ func designHasOpenings(d *router.Design) bool {
 	return some
 }
 
-// retainWhatifLocked registers a replay and evicts the oldest finished
-// replays beyond the retention cap. Callers hold s.mu.
-func (s *Server) retainWhatifLocked(wr *whatifRun) {
-	s.whatifs[wr.id] = wr
-	s.whatifOrder = append(s.whatifOrder, wr.id)
-	for len(s.whatifOrder) > s.cfg.MaxWhatifs {
-		evicted := false
-		for i, id := range s.whatifOrder {
-			if old, ok := s.whatifs[id]; ok && old.terminal() {
-				delete(s.whatifs, id)
-				s.whatifOrder = append(s.whatifOrder[:i], s.whatifOrder[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break // every retained replay is still live; retain them all
-		}
-	}
-}
-
-func (s *Server) lookupWhatif(id string) *whatifRun {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.whatifs[id]
-}
-
 func (s *Server) handleWhatifStatus(w http.ResponseWriter, r *http.Request) {
-	wr := s.lookupWhatif(r.PathValue("id"))
-	if wr == nil {
-		writeError(w, http.StatusNotFound, errors.New("unknown whatif"))
-		return
+	if wr, ok := s.whatifs.lookup(w, r); ok {
+		writeJSON(w, http.StatusOK, wr.status())
 	}
-	writeJSON(w, http.StatusOK, wr.status())
-}
-
-func (s *Server) handleWhatifEvents(w http.ResponseWriter, r *http.Request) {
-	wr := s.lookupWhatif(r.PathValue("id"))
-	if wr == nil {
-		writeError(w, http.StatusNotFound, errors.New("unknown whatif"))
-		return
-	}
-	streamLog(w, r, &wr.log)
 }

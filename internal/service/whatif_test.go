@@ -2,17 +2,19 @@ package service
 
 // Service-boundary tests of the /v1/whatif fault-replay surface:
 // request validation, degraded-provenance propagation (headers on the
-// design endpoint, fields on replay statuses), and content-key
-// separation of fault-tolerant requests.
+// design endpoint, fields on replay statuses), content-key separation
+// of fault-tolerant requests, and a fuzz target over fault specs.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 
+	"xring/internal/designio"
 	"xring/internal/faults"
 	"xring/internal/milp"
 	"xring/internal/resilience"
@@ -240,4 +242,53 @@ func TestFaultToleranceSeparatesContentKeys(t *testing.T) {
 	if resp, _ := postSynth(t, ts.URL, bad); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("k=7 accepted: status %d", resp.StatusCode)
 	}
+}
+
+// FuzzWhatifFaults feeds arbitrary fault-spec bodies through the
+// /v1/whatif expansion against a fixed small design: it must never
+// panic, must report bad specs as errors, and must never accept more
+// than maxWhatifScenarios scenarios.
+func FuzzWhatifFaults(f *testing.F) {
+	rr, err := quadRequest(0).resolve()
+	if err != nil {
+		f.Fatal(err)
+	}
+	res, err := engineSynth(context.Background(), rr)
+	if err != nil {
+		f.Fatal(err)
+	}
+	saved, err := designio.Save(res.Design)
+	if err != nil {
+		f.Fatal(err)
+	}
+	d, err := designio.Load(saved)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec WhatifFaults
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&spec) != nil {
+			return
+		}
+		scs, universe, err := expandScenarios(d, &spec)
+		if err != nil {
+			if scs != nil || universe != 0 {
+				t.Fatalf("error %v returned alongside %d scenarios, universe %d", err, len(scs), universe)
+			}
+			return
+		}
+		if len(scs) == 0 || len(scs) > maxWhatifScenarios {
+			t.Fatalf("accepted %d scenarios, want 1..%d", len(scs), maxWhatifScenarios)
+		}
+		if (len(spec.Inject) > 0) != (universe == 0) {
+			t.Fatalf("universe %d for inject list of %d", universe, len(spec.Inject))
+		}
+		for i, sc := range scs {
+			if len(sc) == 0 {
+				t.Fatalf("scenario %d is empty", i)
+			}
+		}
+	})
 }
