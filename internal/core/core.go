@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"xring/internal/resilience"
@@ -548,7 +549,7 @@ func SweepCtx(ctx context.Context, net *noc.Network, opt Options, objective Obje
 		cspan.End()
 		return r
 	}
-	results := make([]*Result, len(cands))
+	fold := newSweepFold(objective, len(cands))
 	if opt.Serial {
 		for i := range cands {
 			if ctx != nil {
@@ -556,11 +557,11 @@ func SweepCtx(ctx context.Context, net *noc.Network, opt Options, objective Obje
 					return nil, 0, err
 				}
 			}
-			results[i] = synth(i)
+			fold.add(i, synth(i))
 		}
 	} else {
 		if err := parallel.ForEach(ctx, len(cands), func(i int) error {
-			results[i] = synth(i)
+			fold.add(i, synth(i))
 			return nil
 		}); err != nil {
 			// A context error, an injected parallel.task fault, or a
@@ -569,21 +570,10 @@ func SweepCtx(ctx context.Context, net *noc.Network, opt Options, objective Obje
 			return nil, 0, err
 		}
 	}
-	// Reduce in canonical candidate order, then explain the winner: the
-	// decisive tie-break level is judged against the runner-up (the best
-	// of the remaining candidates under the same total order).
-	var best, runnerUp *Result
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		if betterResult(objective, r, best) {
-			runnerUp = best
-			best = r
-		} else if betterResult(objective, r, runnerUp) {
-			runnerUp = r
-		}
-	}
+	// Explain the winner: the decisive tie-break level is judged against
+	// the runner-up (the best of the remaining candidates under the same
+	// order).
+	best, runnerUp := fold.best, fold.runnerUp
 	if best == nil {
 		return nil, 0, fmt.Errorf("core: no feasible #wl setting among %v", candidates)
 	}
@@ -598,6 +588,10 @@ func SweepCtx(ctx context.Context, net *noc.Network, opt Options, objective Obje
 	span.Set(obs.Int("winner_wl", best.Opt.MaxWL),
 		obs.Bool("winner_share", best.Opt.ShareWavelengths),
 		obs.String("decided_by", decidedBy))
+	if runnerUp != nil {
+		span.Set(obs.Int("runner_up_wl", runnerUp.Opt.MaxWL),
+			obs.Bool("runner_up_share", runnerUp.Opt.ShareWavelengths))
+	}
 	if log := obs.Logger("core"); log.Enabled(ctx, obs.LevelInfo) {
 		attrs := []any{
 			"objective", objective.String(),
@@ -616,6 +610,46 @@ func SweepCtx(ctx context.Context, net *noc.Network, opt Options, objective Obje
 		log.Info("sweep winner", attrs...)
 	}
 	return best, best.Opt.MaxWL, nil
+}
+
+// sweepFold reduces a sweep's results into the winner and the
+// runner-up as candidates finish. compareResults' ε-tolerant levels are
+// not transitive, so the fold must visit results in canonical candidate
+// order: a finished result waits in its slot only until every earlier
+// candidate is done, then is folded and released. A sweep therefore
+// holds about one result per worker instead of all 2N designs.
+type sweepFold struct {
+	objective      Objective
+	mu             sync.Mutex
+	pending        []*Result // finished, not yet folded
+	done           []bool
+	next           int // first candidate not yet folded
+	best, runnerUp *Result
+}
+
+func newSweepFold(objective Objective, n int) *sweepFold {
+	return &sweepFold{objective: objective, pending: make([]*Result, n), done: make([]bool, n)}
+}
+
+// add records candidate i's result (nil when infeasible) and folds
+// every result the canonical order now allows.
+func (f *sweepFold) add(i int, r *Result) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.pending[i], f.done[i] = r, true
+	for ; f.next < len(f.done) && f.done[f.next]; f.next++ {
+		r := f.pending[f.next]
+		f.pending[f.next] = nil
+		if r == nil {
+			continue
+		}
+		if betterResult(f.objective, r, f.best) {
+			f.runnerUp = f.best
+			f.best = r
+		} else if betterResult(f.objective, r, f.runnerUp) {
+			f.runnerUp = r
+		}
+	}
 }
 
 func policyName(share bool) string {

@@ -9,6 +9,9 @@ import (
 
 // FuzzLoad ensures arbitrary (including corrupted) design files never
 // panic the loader: they either load a valid design or return an error.
+// Validation runs PassesNode over every channel and opening, so the
+// corpus (testdata/fuzz/FuzzLoad) holds openings and channel endpoints
+// at and past the ends of the node range.
 func FuzzLoad(f *testing.F) {
 	res, err := core.Synthesize(noc.Floorplan8(), core.Options{MaxWL: 8, WithPDN: true})
 	if err != nil {

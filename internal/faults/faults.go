@@ -205,24 +205,16 @@ func Universe(d *router.Design, kinds []Kind, detuneDB float64) []Fault {
 }
 
 // arcCoversEdge reports whether a signal's arc in direction dir
-// traverses tour edge e.
+// traverses tour edge e (Tour[e] -> Tour[e+1]): the edge's end nearer
+// the source in the travel direction lies less than the arc's length
+// from the source.
 func arcCoversEdge(d *router.Design, sig noc.Signal, dir router.Direction, e int) bool {
-	n := d.N()
-	si, di := d.TourPos(sig.Src), d.TourPos(sig.Dst)
-	step := 1
+	si := d.TourPos(sig.Src)
+	near := e
 	if dir == router.CCW {
-		step = n - 1
+		near = (e + 1) % d.N()
 	}
-	for i := si; i != di; i = (i + step) % n {
-		edge := i
-		if dir == router.CCW {
-			edge = (i + n - 1) % n
-		}
-		if edge == e {
-			return true
-		}
-	}
-	return false
+	return d.TourSteps(si, near, dir) < d.TourSteps(si, d.TourPos(sig.Dst), dir)
 }
 
 // Scenario is one replay: a set of simultaneous faults.

@@ -11,6 +11,8 @@ import (
 	"xring/internal/noc"
 	"xring/internal/parallel"
 	"xring/internal/pdn"
+	"xring/internal/phys"
+	"xring/internal/ring"
 	"xring/internal/router"
 	"xring/internal/xtalk"
 )
@@ -325,5 +327,56 @@ func TestEnumerateAndSample(t *testing.T) {
 	}
 	if reflect.DeepEqual(s1, s3) {
 		t.Fatal("different seeds produced identical samples")
+	}
+}
+
+// arcCoversEdgeWalk is the tour walk arcCoversEdge replaced, kept as
+// its oracle: step from the source to the destination and compare each
+// traversed edge with e.
+func arcCoversEdgeWalk(d *router.Design, sig noc.Signal, dir router.Direction, e int) bool {
+	n := d.N()
+	si, di := d.TourPos(sig.Src), d.TourPos(sig.Dst)
+	step := 1
+	if dir == router.CCW {
+		step = n - 1
+	}
+	for i := si; i != di; i = (i + step) % n {
+		edge := i
+		if dir == router.CCW {
+			edge = (i + n - 1) % n
+		}
+		if edge == e {
+			return true
+		}
+	}
+	return false
+}
+
+// TestArcCoversEdgeMatchesWalk checks the offset test against the walk
+// for every (src, dst, dir, edge) on synthesized tours, src == dst
+// included.
+func TestArcCoversEdgeMatchesWalk(t *testing.T) {
+	for _, net := range []*noc.Network{noc.Floorplan8(), noc.Floorplan16(), noc.Irregular(32, 24, 24, 2.5, 2)} {
+		rres, err := ring.Construct(net, ring.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := router.NewDesign(net, phys.Default(), rres.Tour, rres.Orders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := d.N()
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				sig := noc.Signal{Src: src, Dst: dst}
+				for _, dir := range []router.Direction{router.CW, router.CCW} {
+					for e := 0; e < n; e++ {
+						if got, want := arcCoversEdge(d, sig, dir, e), arcCoversEdgeWalk(d, sig, dir, e); got != want {
+							t.Fatalf("%d nodes: arcCoversEdge(%v, %v, %d) = %v, walk says %v", n, sig, dir, e, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

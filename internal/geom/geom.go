@@ -243,6 +243,9 @@ type Polyline []Point
 // Segments returns the constituent segments of the polyline.
 // Degenerate (zero-length) segments are skipped.
 func (p Polyline) Segments() []Segment {
+	if len(p) < 2 {
+		return nil
+	}
 	segs := make([]Segment, 0, len(p)-1)
 	for i := 0; i+1 < len(p); i++ {
 		s := Segment{p[i], p[i+1]}

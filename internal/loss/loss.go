@@ -313,7 +313,13 @@ func RingThroughs(d *router.Design, b *Banks, sig noc.Signal, r *router.Route) i
 	w := d.Waveguides[r.WG]
 	senders, receivers := b.Senders[r.WG], b.Receivers[r.WG]
 	throughs := senders[sig.Src] - 1 // other modulators of the source bank
-	for _, k := range d.GapNodes(sig.Src, sig.Dst, w.Dir) {
+	n := d.N()
+	step := 1
+	if w.Dir == router.CCW {
+		step = n - 1
+	}
+	for i, di := (d.TourPos(sig.Src)+step)%n, d.TourPos(sig.Dst); i != di; i = (i + step) % n {
+		k := d.Tour[i] // a gap node strictly between src and dst
 		throughs += senders[k] + receivers[k]
 	}
 	throughs += receivers[sig.Dst] - 1 // other receivers at the destination

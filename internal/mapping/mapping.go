@@ -359,6 +359,15 @@ func placeOnRingsIn(d *router.Design, routes map[noc.Signal]*router.Route, minWG
 	case shareFirst:
 		passes = [][2]bool{{true, true}}
 	}
+	// used[wl] marks the wavelengths already on the waveguide under
+	// test; one buffer serves every waveguide, on the stack for any
+	// realistic budget.
+	var buf [64]bool
+	used := buf[:]
+	if maxWL > len(buf) {
+		used = make([]bool, maxWL)
+	}
+	used = used[:maxWL]
 	for _, pass := range passes {
 		for _, w := range d.Waveguides[minWG:] {
 			if w.Dir != dir {
@@ -367,9 +376,11 @@ func placeOnRingsIn(d *router.Design, routes map[noc.Signal]*router.Route, minWG
 			if w.Opening >= 0 && d.PassesNode(sig.Src, sig.Dst, w.Opening, dir) {
 				continue
 			}
-			used := map[int]bool{}
+			clear(used)
 			for _, c := range w.Channels {
-				used[c.WL] = true
+				if c.WL < maxWL {
+					used[c.WL] = true
+				}
 			}
 			for wl := 0; wl < maxWL; wl++ {
 				if used[wl] && !pass[1] {
@@ -397,16 +408,18 @@ func placeOnRingsIn(d *router.Design, routes map[noc.Signal]*router.Route, minWG
 	return false
 }
 
-// passerCounts returns, per node ID, how many channels of w traverse
-// that node's sender/receiver gap.
-func passerCounts(d *router.Design, w *router.Waveguide) map[int]int {
-	counts := make(map[int]int, d.N())
-	for _, node := range d.Net.Nodes {
-		counts[node.ID] = 0
+// passerCounts returns, indexed by node ID, how many channels of w
+// traverse that node's sender/receiver gap.
+func passerCounts(d *router.Design, w *router.Waveguide) []int {
+	n := d.N()
+	counts := make([]int, n)
+	step := 1
+	if w.Dir == router.CCW {
+		step = n - 1
 	}
 	for _, c := range w.Channels {
-		for _, g := range d.GapNodes(c.Sig.Src, c.Sig.Dst, w.Dir) {
-			counts[g]++
+		for i, di := (d.TourPos(c.Sig.Src)+step)%n, d.TourPos(c.Sig.Dst); i != di; i = (i + step) % n {
+			counts[d.Tour[i]]++
 		}
 	}
 	return counts
@@ -441,13 +454,7 @@ func openWaveguidesIn(d *router.Design, routes map[noc.Signal]*router.Route, sta
 		// Candidate: least-passed node; prefer nodes already used as
 		// openings elsewhere, then smallest ID.
 		best, bestCount, bestAligned := -1, int(^uint(0)>>1), false
-		ids := make([]int, 0, len(counts))
-		for id := range counts {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			cnt := counts[id]
+		for id, cnt := range counts {
 			aligned := opt.AlignOpenings && openingUsed[id]
 			better := false
 			switch {

@@ -286,35 +286,34 @@ func (d *Design) ArcLen(src, dst int, dir Direction) float64 {
 	return d.perimeter - cwLen
 }
 
-// GapNodes returns the node IDs whose sender/receiver gap a signal
-// src->dst traverses in direction dir: the nodes strictly between src
-// and dst along the travel direction.
-func (d *Design) GapNodes(src, dst int, dir Direction) []int {
-	n := d.N()
-	si, di := d.tourIndex[src], d.tourIndex[dst]
-	var out []int
-	step := 1
+// TourSteps returns how many tour hops lead from tour position from to
+// tour position to when travelling in direction dir, in [0, N).
+func (d *Design) TourSteps(from, to int, dir Direction) int {
+	s := to - from
 	if dir == CCW {
-		step = n - 1 // -1 mod n
+		s = -s
 	}
-	for i := (si + step) % n; i != di; i = (i + step) % n {
-		out = append(out, d.Tour[i])
+	if s < 0 {
+		s += len(d.Tour)
 	}
-	return out
+	return s
 }
 
 // PassesNode reports whether signal src->dst in direction dir traverses
-// the sender/receiver gap of node k.
+// the sender/receiver gap of node k: k's offset from src in the travel
+// direction lies strictly between 0 and dst's (a signal from a node to
+// itself goes all the way round).
 func (d *Design) PassesNode(src, dst, k int, dir Direction) bool {
-	if k == src || k == dst {
+	if k < 0 || k >= len(d.tourIndex) {
 		return false
 	}
-	for _, g := range d.GapNodes(src, dst, dir) {
-		if g == k {
-			return true
-		}
+	si := d.tourIndex[src]
+	span := d.TourSteps(si, d.tourIndex[dst], dir)
+	if span == 0 {
+		span = len(d.Tour)
 	}
-	return false
+	off := d.TourSteps(si, d.tourIndex[k], dir)
+	return off > 0 && off < span
 }
 
 // ArcInterval returns the [from, to) arc coordinates (CW orientation) a

@@ -103,12 +103,12 @@ func TestPerimeterAndArcLen(t *testing.T) {
 
 func TestGapNodesAndPasses(t *testing.T) {
 	d := grid8(t) // tour 0,1,2,3,7,6,5,4
-	gaps := d.GapNodes(1, 7, CW)
+	gaps := gapNodes(d, 1, 7, CW)
 	want := []int{2, 3}
 	if len(gaps) != 2 || gaps[0] != want[0] || gaps[1] != want[1] {
 		t.Fatalf("GapNodes(1,7,CW) = %v, want %v", gaps, want)
 	}
-	gapsR := d.GapNodes(1, 7, CCW)
+	gapsR := gapNodes(d, 1, 7, CCW)
 	wantR := []int{0, 4, 5, 6}
 	if len(gapsR) != len(wantR) {
 		t.Fatalf("GapNodes(1,7,CCW) = %v, want %v", gapsR, wantR)
@@ -461,8 +461,8 @@ func TestArcArithmeticProperties(t *testing.T) {
 		}
 		// Gap node counts match index distance - 1, and both directions
 		// partition the other nodes.
-		g1 := len(d.GapNodes(src, dst, CW))
-		g2 := len(d.GapNodes(src, dst, CCW))
+		g1 := len(gapNodes(d, src, dst, CW))
+		g2 := len(gapNodes(d, src, dst, CCW))
 		if g1+g2 != 11-2 {
 			return false
 		}

@@ -76,13 +76,23 @@ func (d *Design) validateTourGeometry() error {
 	return nil
 }
 
+// isNode reports whether id names a node of the design.
+func (d *Design) isNode(id int) bool { return id >= 0 && id < d.N() }
+
 func (d *Design) validateWaveguides() error {
 	for wi, w := range d.Waveguides {
 		if w.ID != wi {
 			return fmt.Errorf("router: waveguide %d has ID %d", wi, w.ID)
 		}
-		if w.Opening != -1 && (w.Opening < 0 || w.Opening >= d.N()) {
+		if w.Opening != -1 && !d.isNode(w.Opening) {
 			return fmt.Errorf("router: waveguide %d opening %d out of range", wi, w.Opening)
+		}
+		// Range-check every endpoint first: the pairwise collision test
+		// below looks up later channels' endpoints too.
+		for _, c := range w.Channels {
+			if !d.isNode(c.Sig.Src) || !d.isNode(c.Sig.Dst) {
+				return fmt.Errorf("router: waveguide %d channel %v has an endpoint out of range", wi, c.Sig)
+			}
 		}
 		for ci, c := range w.Channels {
 			if c.Sig.Src == c.Sig.Dst {
@@ -121,6 +131,9 @@ func (d *Design) validateShortcuts() error {
 		ringEdges[i] = d.EdgePath(i)
 	}
 	for si, s := range d.Shortcuts {
+		if !d.isNode(s.A) || !d.isNode(s.B) {
+			return fmt.Errorf("router: shortcut %d endpoint (%d,%d) out of range", si, s.A, s.B)
+		}
 		if s.A == s.B {
 			return fmt.Errorf("router: shortcut %d connects node %d to itself", si, s.A)
 		}
