@@ -2,9 +2,11 @@ package faults
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -89,7 +91,9 @@ var (
 	// replays walk PDN leakage through the shared crosstalk index.
 	caseORNoC8Comb    = replayCase{"ornoc8-wl4-comb", ornocCase(8, 4)}
 	caseXRing8CombFT1 = replayCase{"xring8-wl8-comb-ft1", xringCase(8, 8, 1, true)}
-	allFaultKinds     = []Kind{KindMRR, KindSegment, KindDetune}
+	// The fault-replay benchmark's unprotected 32-node design.
+	caseXRing32   = replayCase{"xring32-wl30", xringCase(32, 30, 0, false)}
+	allFaultKinds = []Kind{KindMRR, KindSegment, KindDetune}
 )
 
 // pdnCrossings counts ring crossings fed by a PDN feed.
@@ -117,9 +121,9 @@ func oracleReplay(ctx context.Context, d *router.Design, plan *pdn.Plan, banks *
 	for _, f := range sc {
 		switch f.Kind {
 		case KindMRR:
-			killChannel(d, f.WG, f.SC, f.Sig, deadPrimary, deadSpare)
+			oracleKillChannel(d, f.WG, f.SC, f.Sig, deadPrimary, deadSpare)
 		case KindSegment:
-			killSegment(d, f, deadPrimary, deadSpare)
+			oracleKillSegment(d, f, deadPrimary, deadSpare)
 		case KindDetune:
 			detunes = append(detunes, f)
 		}
@@ -211,6 +215,58 @@ func oracleReplay(ctx context.Context, d *router.Design, plan *pdn.Plan, banks *
 	return out, nil
 }
 
+// oracleKillChannel marks the channel (element container, sig) dead in
+// whichever route table owns it, keyed by signal: the oracle's copy of
+// the replayer's index-based kill.
+func oracleKillChannel(d *router.Design, wg, sc int, sig noc.Signal, deadPrimary, deadSpare map[noc.Signal]bool) {
+	if wg >= 0 {
+		if r := d.Routes[sig]; r != nil && r.Kind == router.OnRing && r.WG == wg {
+			deadPrimary[sig] = true
+		}
+		if r := d.SpareRoutes[sig]; r != nil && r.WG == wg {
+			deadSpare[sig] = true
+		}
+		return
+	}
+	if r := d.Routes[sig]; r != nil && r.Kind == router.OnShortcut && r.SC == sc {
+		deadPrimary[sig] = true
+	}
+}
+
+// oracleKillSegment kills every channel whose physical path traverses
+// the cut.
+func oracleKillSegment(d *router.Design, f Fault, deadPrimary, deadSpare map[noc.Signal]bool) {
+	if f.WG >= 0 {
+		w := d.Waveguides[f.WG]
+		for _, c := range w.Channels {
+			if arcCoversEdge(d, c.Sig, w.Dir, f.Edge) {
+				oracleKillChannel(d, f.WG, -1, c.Sig, deadPrimary, deadSpare)
+			}
+		}
+		return
+	}
+	s := d.Shortcuts[f.SC]
+	for _, c := range s.Channels {
+		oracleKillChannel(d, -1, f.SC, c.Sig, deadPrimary, deadSpare)
+	}
+	if s.Partner >= 0 {
+		for _, c := range d.Shortcuts[s.Partner].Channels {
+			if c.ViaCSE {
+				oracleKillChannel(d, -1, s.Partner, c.Sig, deadPrimary, deadSpare)
+			}
+		}
+	}
+}
+
+func sortSignals(sigs []noc.Signal) {
+	sort.Slice(sigs, func(i, j int) bool {
+		if sigs[i].Src != sigs[j].Src {
+			return sigs[i].Src < sigs[j].Src
+		}
+		return sigs[i].Dst < sigs[j].Dst
+	})
+}
+
 // diffOutcome reports the first field where two outcomes differ; floats
 // compare bit for bit.
 func diffOutcome(got, want Outcome) string {
@@ -291,9 +347,10 @@ func TestReplayMatchesOracle(t *testing.T) {
 			}
 			rp := newReplayer(d, plan, lrep, xrep)
 			banks := loss.NewBanks(d)
+			st := rp.newState()
 			var replays, promotions int
 			for _, sc := range scs {
-				got, err := rp.replay(sc)
+				got, err := st.replay(sc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -322,6 +379,115 @@ func TestReplayMatchesOracle(t *testing.T) {
 	}
 }
 
+// replayFixture is a case's replayer with the inputs the oracle needs.
+type replayFixture struct {
+	d        *router.Design
+	plan     *pdn.Plan
+	lrep     *loss.Report
+	xrep     *xtalk.Report
+	banks    *loss.Banks
+	rp       *replayer
+	universe []Fault
+}
+
+// fixtures memoizes replayFixture per case: the fuzz target replays
+// many scenarios on each.
+var fixtures sync.Map
+
+func (c replayCase) fixture(tb testing.TB) *replayFixture {
+	tb.Helper()
+	if fx, ok := fixtures.Load(c.name); ok {
+		return fx.(*replayFixture)
+	}
+	ctx := context.Background()
+	d, plan := c.design(tb)
+	lrep, err := loss.AnalyzeCtx(ctx, d, plan)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	xrep, err := xtalk.AnalyzeCtx(ctx, d, plan, lrep)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fx := &replayFixture{
+		d: d, plan: plan, lrep: lrep, xrep: xrep,
+		banks:    loss.NewBanks(d),
+		rp:       newReplayer(d, plan, lrep, xrep),
+		universe: Universe(d, allFaultKinds, 0),
+	}
+	actual, _ := fixtures.LoadOrStore(c.name, fx)
+	return actual.(*replayFixture)
+}
+
+// FuzzReplayMatchesOracle pins the replay to its oracle, bit for bit,
+// on arbitrary fault sets. The first byte picks the design (low bits,
+// modulo the three cases); with its top bit set the scenario starts
+// with every segment cut of the universe, which loses every signal.
+// Each following byte pair (big-endian, modulo the universe size) adds
+// one fault, at most three. The seed corpus holds a lost comb-PDN
+// noise victim, a promoted signal detuned on its spare, and the
+// whole-design cut on each case.
+func FuzzReplayMatchesOracle(f *testing.F) {
+	cases := []replayCase{caseXRing16FT1, caseORNoC8Comb, caseXRing8CombFT1}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		fx := cases[int(data[0]&0x7f)%len(cases)].fixture(t)
+		var sc Scenario
+		if data[0]&0x80 != 0 {
+			for _, f := range fx.universe {
+				if f.Kind == KindSegment {
+					sc = append(sc, f)
+				}
+			}
+		}
+		for rest, n := data[1:], 0; len(rest) >= 2 && n < 3; rest, n = rest[2:], n+1 {
+			sc = append(sc, fx.universe[int(binary.BigEndian.Uint16(rest))%len(fx.universe)])
+		}
+		got, err := fx.rp.newState().replay(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracleReplay(context.Background(), fx.d, fx.plan, fx.banks, fx.lrep, fx.xrep, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := diffOutcome(got, want); diff != "" {
+			t.Fatalf("scenario %v: %s", sc, diff)
+		}
+	})
+}
+
+// TestReplayAllocsFlat keeps per-signal allocations out of a replay: a
+// single-MRR replay on the 992-signal 32-node design may allocate only
+// a small constant more than one on the 240-signal 16-node design.
+func TestReplayAllocsFlat(t *testing.T) {
+	const slack = 4
+	perReplay := func(c replayCase) float64 {
+		fx := c.fixture(t)
+		var scs []Scenario
+		for _, f := range fx.universe {
+			if f.Kind == KindMRR && len(scs) < 64 {
+				scs = append(scs, Scenario{f})
+			}
+		}
+		st := fx.rp.newState()
+		return testing.AllocsPerRun(3, func() {
+			for _, sc := range scs {
+				if _, err := st.replay(sc); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}) / float64(len(scs))
+	}
+	small, large := perReplay(caseXRing16FT1), perReplay(caseXRing32)
+	t.Logf("allocs per single-MRR replay: %s %.2f, %s %.2f", caseXRing16FT1.name, small, caseXRing32.name, large)
+	if large > small+slack {
+		t.Fatalf("%s allocates %.2f per replay, more than %s's %.2f + %d", caseXRing32.name, large, caseXRing16FT1.name, small, slack)
+	}
+}
+
 // BenchmarkAnalyze replays the exhaustive single-fault universe of the
 // fault-replay benchmark's designs and of a comb-PDN design:
 //
@@ -329,7 +495,7 @@ func TestReplayMatchesOracle(t *testing.T) {
 func BenchmarkAnalyze(b *testing.B) {
 	for _, c := range []replayCase{
 		caseXRing16FT1,
-		{"xring32-wl30", xringCase(32, 30, 0, false)},
+		caseXRing32,
 		caseORNoC8Comb,
 	} {
 		b.Run(c.name, func(b *testing.B) {

@@ -225,38 +225,90 @@ func Summarize(d *router.Design, sigs []noc.Signal, losses []*SignalLoss) *Repor
 	rep := &Report{
 		Signals:         make(map[noc.Signal]*SignalLoss, len(sigs)),
 		WavelengthPower: map[int]float64{},
-		WorstIL:         math.Inf(-1),
 		WavelengthCount: d.WavelengthsUsed(),
 	}
+	var f Fold
+	f.Reset(0)
 	for i, sig := range sigs {
 		sl := losses[i]
 		rep.Signals[sig] = sl
-		if sl.IL > rep.WorstIL {
-			rep.WorstIL = sl.IL
-			rep.Worst = sig
-			rep.WorstLen = sl.PathLen
-			rep.WorstCrossings = sl.Crossings
+		f.Add(i, sl, sl.LaserMW(par))
+	}
+	rep.WorstIL = f.WorstIL
+	if f.Worst >= 0 {
+		sl := losses[f.Worst]
+		rep.Worst = sigs[f.Worst]
+		rep.WorstLen = sl.PathLen
+		rep.WorstCrossings = sl.Crossings
+	}
+	for wl, p := range f.LaserMW {
+		if p > 0 {
+			rep.WavelengthPower[wl] = p
 		}
 	}
-
-	// Laser power per wavelength: the worst total requirement among the
-	// wavelength's signals sets its laser.
-	for _, sl := range losses {
-		req := sl.IL + sl.PDNLoss
-		power := phys.LaserPowerMW(req, par.ReceiverSensitivityDBm)
-		if power > rep.WavelengthPower[sl.WL] {
-			rep.WavelengthPower[sl.WL] = power
-		}
-	}
-	wls := make([]int, 0, len(rep.WavelengthPower))
-	for wl := range rep.WavelengthPower {
-		wls = append(wls, wl)
-	}
-	sort.Ints(wls)
-	for _, wl := range wls {
-		rep.TotalPowerMW += rep.WavelengthPower[wl]
-	}
+	rep.TotalPowerMW = f.TotalMW()
 	return rep
+}
+
+// LaserMW is the laser power in mW this signal alone requires of its
+// wavelength: P = 10^((il + pdn + S)/10).
+func (sl *SignalLoss) LaserMW(par phys.Params) float64 {
+	return phys.LaserPowerMW(sl.IL+sl.PDNLoss, par.ReceiverSensitivityDBm)
+}
+
+// DetectorGain is the linear attenuation from the laser to this
+// signal's photodetector: the detector power is the wavelength's laser
+// power times this factor.
+func (sl *SignalLoss) DetectorGain() float64 {
+	return phys.DBToLinear(-(sl.PDNLoss + sl.IL))
+}
+
+// Fold is the per-signal reduction behind Summarize: the worst-IL
+// signal (the first strict maximum in fold order) and each wavelength's
+// laser, sized by the largest requirement among its signals. A fault
+// replay runs the same fold over its surviving signals with laser
+// powers it cached from the nominal analysis.
+type Fold struct {
+	// WorstIL is the largest IL added (-Inf before any) and Worst the
+	// fold index of its signal (-1 before any).
+	WorstIL float64
+	Worst   int
+	// LaserMW[wl] is wavelength wl's laser power in mW; 0 means no
+	// added signal rides wl.
+	LaserMW []float64
+}
+
+// Reset empties the fold for wavelengths below wls, keeping the
+// storage of LaserMW. Add grows LaserMW for larger wavelengths.
+func (f *Fold) Reset(wls int) {
+	f.WorstIL, f.Worst = math.Inf(-1), -1
+	f.LaserMW = append(f.LaserMW[:0], make([]float64, wls)...)
+}
+
+// Add folds in signal i's loss and the laser power it requires
+// (sl.LaserMW).
+func (f *Fold) Add(i int, sl *SignalLoss, laserMW float64) {
+	if sl.IL > f.WorstIL {
+		f.WorstIL, f.Worst = sl.IL, i
+	}
+	for sl.WL >= len(f.LaserMW) {
+		f.LaserMW = append(f.LaserMW, 0)
+	}
+	if laserMW > f.LaserMW[sl.WL] {
+		f.LaserMW[sl.WL] = laserMW
+	}
+}
+
+// TotalMW sums the wavelengths' laser powers in ascending wavelength
+// order.
+func (f *Fold) TotalMW() float64 {
+	total := 0.0
+	for _, p := range f.LaserMW {
+		if p > 0 {
+			total += p
+		}
+	}
+	return total
 }
 
 // Counts are the walk-derived inputs a signal's insertion loss is

@@ -424,20 +424,50 @@ func (d *Design) SendersOn(w *Waveguide) []int {
 }
 
 // WavelengthsUsed returns the distinct wavelength count across the
-// design (ring channels and shortcut channels).
+// design (ring channels and shortcut channels). It marks wavelengths in
+// a bitset spanning the smallest to the largest one in use, on the
+// stack for spans up to 256 wavelengths, so every loss summary can
+// count without allocating.
 func (d *Design) WavelengthsUsed() int {
-	used := map[int]bool{}
+	lo, hi := 0, -1
+	d.eachChannelWL(func(wl int) {
+		if hi < lo {
+			lo, hi = wl, wl
+		}
+		lo, hi = min(lo, wl), max(hi, wl)
+	})
+	if hi < lo {
+		return 0
+	}
+	var buf [4]uint64
+	used := buf[:]
+	if words := (hi-lo)/64 + 1; words > len(buf) {
+		used = make([]uint64, words)
+	}
+	n := 0
+	d.eachChannelWL(func(wl int) {
+		k := wl - lo
+		if bit := uint64(1) << (k & 63); used[k>>6]&bit == 0 {
+			used[k>>6] |= bit
+			n++
+		}
+	})
+	return n
+}
+
+// eachChannelWL calls f with every ring and shortcut channel's
+// wavelength.
+func (d *Design) eachChannelWL(f func(wl int)) {
 	for _, w := range d.Waveguides {
 		for _, c := range w.Channels {
-			used[c.WL] = true
+			f(c.WL)
 		}
 	}
 	for _, s := range d.Shortcuts {
 		for _, c := range s.Channels {
-			used[c.WL] = true
+			f(c.WL)
 		}
 	}
-	return len(used)
 }
 
 // TotalCrossings returns the number of waveguide crossings in the whole
