@@ -1,27 +1,21 @@
 package main
 
-// Exploration-grid benchmark (-explore): one in-process xringd serves
-// a 2x3x2 study (two 8-node floorplans x three #wl budgets x two
-// policies whose switches are identical under different names), and
-// the same cells are then replayed as standalone /v1/synthesize
-// requests with every cache cold. The grid's wall-clock must beat the
-// sum of the standalone runs — the cache-hit amplification the
-// exploration engine exists for (result-cache/dedup hits on the
-// aliased policy, ring-cache sharing across budgets on one floorplan).
-//
-// Determinism doubles as an acceptance check: the grid runs twice on
-// fresh servers and the two frontier CSV exports must be byte-equal,
-// and every frontier point must be fetchable via /v1/designs/{key}.
-// -check compares the amplification ratio (machine-independent) and
-// the frontier size (deterministic) against the committed report.
+// Exploration-grid bench (-gate explore): one in-process xringd serves
+// a 2x3x2 study (two floorplans x three #wl budgets x two policies
+// whose switches are identical under different names), and the same
+// cells are then replayed as standalone /v1/synthesize requests with
+// every cache cold. The gate reads the amplification — the standalone
+// sum over the grid's wall-clock, which must exceed 1: the cache-hit
+// sharing the exploration engine exists for (result-cache/dedup hits
+// on the aliased policy, ring-cache sharing across budgets on one
+// floorplan). The grid's shape, frontier and determinism are tests in
+// explore_test.go.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"time"
 
 	"xring/internal/core"
@@ -30,29 +24,6 @@ import (
 	"xring/internal/service"
 	"xring/internal/service/client"
 )
-
-// exploreReport is the BENCH_explore.json schema.
-type exploreReport struct {
-	GoVersion string `json:"goVersion"`
-	GoOS      string `json:"goos"`
-	GoArch    string `json:"goarch"`
-	Cores     int    `json:"cores"`
-
-	Cells        int `json:"cells"`
-	DistinctKeys int `json:"distinctKeys"`
-	FrontierSize int `json:"frontierSize"`
-	CacheHits    int `json:"cacheHits"`
-	DedupHits    int `json:"dedupHits"`
-
-	GridMS       float64 `json:"gridMS"`
-	CellsPerSec  float64 `json:"cellsPerSec"`
-	IndividualMS float64 `json:"individualMS"`
-	// Amplification is individualMS / gridMS: how much faster the study
-	// is than its cells run standalone and cold.
-	Amplification float64 `json:"amplification"`
-
-	Timestamp string `json:"timestampUTC,omitempty"`
-}
 
 // exploreTimingReps re-runs each timed pass and keeps the fastest
 // wall-clock (cold caches every time), mirroring the solver bench.
@@ -115,75 +86,48 @@ func withServer(cfg service.Config, fn func(c *client.Client) error) error {
 }
 
 // runGridOnce runs the study on a fresh cold server and returns its
-// status, frontier CSV bytes and wall-clock.
-func runGridOnce(g explore.Grid, verifyDesigns bool) (*service.ExploreStatus, []byte, float64, error) {
-	var (
-		st  *service.ExploreStatus
-		csv []byte
-		ms  float64
-	)
+// wall-clock. inspect, when set, sees the finished study while the
+// server still serves it.
+func runGridOnce(g explore.Grid, inspect func(*client.Client, *service.ExploreStatus) error) (float64, error) {
+	var ms float64
 	coldCaches()
 	err := withServer(service.Config{Workers: 1}, func(c *client.Client) error {
-		ctx := context.Background()
 		t0 := time.Now()
-		var err error
-		st, err = c.Explore(ctx, &service.ExploreRequest{Grid: g})
+		st, err := c.Explore(context.Background(), &service.ExploreRequest{Grid: g})
 		ms = float64(time.Since(t0).Microseconds()) / 1000
 		if err != nil {
 			return err
 		}
 		if st.Failed > 0 || st.Completed != st.Cells {
-			return fmt.Errorf("explore bench: %d/%d cells completed, %d failed", st.Completed, st.Cells, st.Failed)
+			return fmt.Errorf("%d/%d cells completed, %d failed", st.Completed, st.Cells, st.Failed)
 		}
-		if csv, err = c.ExploreFrontierCSV(ctx, st.ID); err != nil {
-			return err
-		}
-		if verifyDesigns {
-			for _, p := range st.Frontier {
-				design, derr := c.Design(ctx, p.Key)
-				if derr != nil || len(design) == 0 {
-					return fmt.Errorf("explore bench: frontier point %s not fetchable by key: %v", p.CellID, derr)
-				}
-			}
+		if inspect != nil {
+			return inspect(c, st)
 		}
 		return nil
 	})
-	return st, csv, ms, err
+	return ms, err
 }
 
-func runExploreBench(out string, checkPath string) error {
+func runExploreBench() (ratios, detail map[string]float64, err error) {
 	g, err := exploreBenchGrid()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	cells, err := g.Expand()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 
-	// Phase A: the grid, exploreTimingReps times on fresh cold servers.
-	// Every rep's frontier CSV must be byte-identical (the determinism
-	// acceptance check); the fastest rep is the timed one — the engine
-	// runs in single-digit milliseconds here, so best-of damps scheduler
-	// noise exactly like the solver bench does.
-	var (
-		st     *service.ExploreStatus
-		csv1   []byte
-		gridMS float64
-	)
+	// Phase A: the grid on fresh cold servers, best of
+	// exploreTimingReps — the engine runs in milliseconds here.
+	gridMS := 0.0
 	for rep := 0; rep < exploreTimingReps; rep++ {
-		rst, csv, ms, err := runGridOnce(g, rep == 0)
+		ms, err := runGridOnce(g, nil)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		if rep == 0 {
-			st, csv1, gridMS = rst, csv, ms
-			continue
-		}
-		if string(csv) != string(csv1) {
-			return fmt.Errorf("explore bench: frontier CSV differs between identical runs:\n%s\nvs\n%s", csv1, csv)
-		}
-		if ms < gridMS {
+		if rep == 0 || ms < gridMS {
 			gridMS = ms
 		}
 	}
@@ -192,7 +136,6 @@ func runExploreBench(out string, checkPath string) error {
 	// per cell, ring/hint caches reset, result cache disabled. Same
 	// best-of policy, per cell.
 	var individualMS float64
-	distinct := map[string]bool{}
 	for _, c := range cells {
 		req := standaloneRequest(&g, c)
 		best := 0.0
@@ -201,16 +144,15 @@ func runExploreBench(out string, checkPath string) error {
 			var ms float64
 			err := withServer(service.Config{Workers: 1, CacheEntries: -1}, func(cl *client.Client) error {
 				t0 := time.Now()
-				resp, err := cl.Synthesize(context.Background(), req)
+				_, err := cl.Synthesize(context.Background(), req)
 				ms = float64(time.Since(t0).Microseconds()) / 1000
 				if err != nil {
 					return fmt.Errorf("cell %s standalone: %w", c.ID, err)
 				}
-				distinct[resp.Key] = true
 				return nil
 			})
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			if rep == 0 || ms < best {
 				best = ms
@@ -218,54 +160,8 @@ func runExploreBench(out string, checkPath string) error {
 		}
 		individualMS += best
 	}
-
-	rep := exploreReport{
-		GoVersion: runtime.Version(),
-		GoOS:      runtime.GOOS,
-		GoArch:    runtime.GOARCH,
-		Cores:     runtime.NumCPU(),
-
-		Cells:        st.Cells,
-		DistinctKeys: len(distinct),
-		FrontierSize: len(st.Frontier),
-		CacheHits:    st.CacheHits,
-		DedupHits:    st.DedupHits,
-
-		GridMS:       gridMS,
-		IndividualMS: individualMS,
-		Timestamp:    time.Now().UTC().Format(time.RFC3339),
-	}
-	if gridMS > 0 {
-		rep.CellsPerSec = float64(st.Cells) / (gridMS / 1000)
-		rep.Amplification = individualMS / gridMS
-	}
-	fmt.Fprintf(os.Stderr,
-		"explore grid %d cells (%d distinct keys): %.1f ms (%.1f cells/s, %d cache + %d dedup hits) | standalone sum %.1f ms | amplification %.2fx | frontier %d\n",
-		rep.Cells, rep.DistinctKeys, rep.GridMS, rep.CellsPerSec,
-		rep.CacheHits, rep.DedupHits, rep.IndividualMS, rep.Amplification, rep.FrontierSize)
-
-	// Acceptance floor: a grid over a shared floorplan must beat the sum
-	// of its cells run standalone.
-	if rep.Amplification <= 1.0 {
-		return fmt.Errorf("explore bench: amplification %.2fx — the grid was not faster than its cells run standalone", rep.Amplification)
-	}
-	if rep.CacheHits+rep.DedupHits == 0 {
-		return fmt.Errorf("explore bench: no cross-cell cache or dedup hits in a grid with aliased policies")
-	}
-
-	if out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	if checkPath != "" {
-		return checkExploreReport(rep, checkPath)
-	}
-	return nil
+	return map[string]float64{"amplification": individualMS / gridMS},
+		map[string]float64{"gridMS": gridMS, "individualMS": individualMS}, nil
 }
 
 // standaloneRequest rebuilds a cell as the /v1/synthesize request it is
@@ -292,45 +188,4 @@ func standaloneRequest(g *explore.Grid, c explore.Cell) *service.Request {
 		o.MaxWL = c.Budget
 	}
 	return req
-}
-
-// checkExploreReport compares a fresh run against the committed
-// BENCH_explore.json: the frontier is deterministic (exact match), and
-// the amplification ratio is machine-independent (25% slack).
-func checkExploreReport(got exploreReport, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("explore check: %w", err)
-	}
-	var want exploreReport
-	if err := json.Unmarshal(data, &want); err != nil {
-		return fmt.Errorf("explore check: parse %s: %w", path, err)
-	}
-	var failures []string
-	if got.Cells != want.Cells || got.DistinctKeys != want.DistinctKeys {
-		failures = append(failures, fmt.Sprintf(
-			"grid shape changed: %d cells/%d keys -> %d cells/%d keys (regenerate %s)",
-			want.Cells, want.DistinctKeys, got.Cells, got.DistinctKeys, path))
-	}
-	if got.FrontierSize != want.FrontierSize {
-		failures = append(failures, fmt.Sprintf(
-			"frontier size %d -> %d on a deterministic grid", want.FrontierSize, got.FrontierSize))
-	}
-	if got.CacheHits+got.DedupHits < want.CacheHits+want.DedupHits {
-		failures = append(failures, fmt.Sprintf(
-			"amplified cells fell %d -> %d", want.CacheHits+want.DedupHits, got.CacheHits+got.DedupHits))
-	}
-	const slack = 1.25 // 25%
-	if want.Amplification > 0 && got.Amplification < want.Amplification/slack {
-		failures = append(failures, fmt.Sprintf(
-			"amplification fell %.2fx -> %.2fx (>25%%)", want.Amplification, got.Amplification))
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "explore check FAIL:", f)
-		}
-		return fmt.Errorf("explore check: %d regression(s) against %s", len(failures), path)
-	}
-	fmt.Fprintln(os.Stderr, "explore check OK against", path)
-	return nil
 }

@@ -77,6 +77,16 @@ func pctOf(lats []time.Duration, p float64) time.Duration {
 }
 
 func runLoad(w io.Writer, cfg loadConfig) error {
+	// Reject a workload that cannot run before contacting any endpoint:
+	// zero senders would block on the semaphore forever, and an empty
+	// variant set has nothing to send.
+	if cfg.total < 1 || cfg.conc < 1 {
+		return fmt.Errorf("load needs at least 1 request and 1 sender (got -load-n %d, -load-c %d)", cfg.total, cfg.conc)
+	}
+	variants := loadVariants(cfg.nodes)
+	if len(variants) == 0 {
+		return fmt.Errorf("-load-nodes %d yields no request variants", cfg.nodes)
+	}
 	ctx := context.Background()
 	// One breaker group for the whole fleet: per-endpoint circuits, so
 	// one bad endpoint cannot stop the workload against the others.
@@ -94,7 +104,6 @@ func runLoad(w io.Writer, cfg loadConfig) error {
 		}
 		befores[i] = st
 	}
-	variants := loadVariants(cfg.nodes)
 
 	type sample struct {
 		lat      time.Duration

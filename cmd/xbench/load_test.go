@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"io"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -40,6 +41,41 @@ func TestRunLoadAgainstInProcessService(t *testing.T) {
 	}
 	if st := s.Stats(); st.CacheHits+st.DedupHits == 0 {
 		t.Error("mixed load produced no cache or dedup hits")
+	}
+}
+
+// TestRunLoadRejectsEmptyWorkloads: flag values that leave nothing to
+// send, or no sender to send it, fail before any request reaches the
+// server.
+func TestRunLoadRejectsEmptyWorkloads(t *testing.T) {
+	s, err := service.New(service.Config{QueueDepth: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		if err := s.Drain(ctx); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	}()
+	for _, cfg := range []loadConfig{
+		{total: 0, conc: 4, nodes: 8},
+		{total: -1, conc: 4, nodes: 8},
+		{total: 4, conc: 0, nodes: 8},
+		{total: 4, conc: -2, nodes: 8},
+		{total: 4, conc: 4, nodes: 0},
+		{total: 4, conc: 4, nodes: -8},
+	} {
+		cfg.endpoints = []string{ts.URL}
+		if err := runLoad(io.Discard, cfg); err == nil {
+			t.Errorf("runLoad(n=%d c=%d nodes=%d) accepted an empty workload", cfg.total, cfg.conc, cfg.nodes)
+		}
+	}
+	if st := s.Stats(); st.Requests != 0 {
+		t.Errorf("server saw %d requests from rejected workloads", st.Requests)
 	}
 }
 

@@ -14,38 +14,32 @@
 //	xbench -table 1    # a single table
 //	xbench -ablation   # ablation study only
 //	xbench -serial     # force sequential evaluation (one worker)
-//	xbench -json F     # write a serial-vs-parallel timing report to F
+//	xbench -gate all   # check the benchmark gates against BENCH_*.json
+//	xbench -gate delta -record  # rewrite BENCH_delta.json instead
 //	xbench -load URL   # drive a running xringd with a concurrent workload
 package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"time"
 
 	"xring"
-	"xring/internal/core"
 	"xring/internal/obs"
 	"xring/internal/parallel"
 	"xring/internal/report"
 )
-
-// processStart anchors the monotonic timestamp reported by -json.
-var processStart = time.Now()
 
 // floorplanKind selects regular grids (the default) or irregular
 // placements (the paper's motivating hard case, where shortcut gains
 // are largest).
 var floorplanKind = flag.String("floorplan", "grid", "floorplan family: grid or irregular")
 
-// serialMode mirrors the -serial flag; the -json harness toggles it
-// between timing passes.
+// serialMode mirrors the -serial flag.
 var serialMode bool
 
 // opts stamps the current execution mode onto synthesis options.
@@ -80,14 +74,9 @@ func main() {
 	table := flag.String("table", "all", "which table to regenerate: 1, 2, 3 or all")
 	ablation := flag.Bool("ablation", false, "run the ablation study instead of the paper tables")
 	sweep := flag.Bool("sweep", false, "print the full #wl sweep curve for the 16-node XRing instead of the tables")
-	serial := flag.Bool("serial", false, "evaluate everything sequentially on one worker (baseline for -json)")
-	jsonOut := flag.String("json", "", "benchmark serial vs parallel passes and write the report to this file")
-	solver := flag.Bool("solver", false, "run the MILP solver micro-benchmark (writes -json if set, compares -check if set)")
-	deltaBench := flag.Bool("delta", false, "run the placement delta-evaluation micro-benchmark (writes -json if set, compares -check if set)")
-	exploreBench := flag.Bool("explore", false, "run the /v1/explore grid benchmark (writes -json if set, compares -check if set)")
-	whatifBench := flag.Bool("whatif", false, "run the fault-replay benchmark (writes -json if set, compares -check if set)")
-	clusterBench := flag.Bool("cluster", false, "run the 3-shard cluster vs independent-instances benchmark (writes -json if set, compares -check if set)")
-	benchCheck := flag.String("check", "", "with -solver/-delta/-explore/-whatif/-cluster: committed BENCH_*.json to compare against; exits non-zero on regression")
+	serial := flag.Bool("serial", false, "evaluate everything sequentially on one worker")
+	gate := flag.String("gate", "", "run benchmark gates: all, or a comma list of solver, delta, explore, whatif, cluster; each checks against BENCH_<name>.json in the working directory")
+	record := flag.Bool("record", false, "with -gate: rewrite BENCH_<name>.json from this run instead of checking against it")
 	loadURL := flag.String("load", "", "drive a running xringd at this base URL with a mixed concurrent workload")
 	loadEndpoints := flag.String("endpoints", "", "comma-separated base URLs for -load mode: round-robin the workload across a fleet, with per-endpoint breakdowns")
 	loadN := flag.Int("load-n", 32, "total requests to send in -load mode")
@@ -126,44 +115,9 @@ func main() {
 		}
 		return
 	}
-	if *clusterBench {
-		if err := runClusterBench(*jsonOut, *benchCheck); err != nil {
+	if *gate != "" {
+		if err := runGates(*gate, *record); err != nil {
 			fmt.Fprintln(os.Stderr, "xbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *solver {
-		if err := runSolverBench(*jsonOut, *benchCheck); err != nil {
-			fmt.Fprintln(os.Stderr, "xbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *deltaBench {
-		if err := runDeltaBench(*jsonOut, *benchCheck); err != nil {
-			fmt.Fprintln(os.Stderr, "xbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exploreBench {
-		if err := runExploreBench(*jsonOut, *benchCheck); err != nil {
-			fmt.Fprintln(os.Stderr, "xbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *whatifBench {
-		if err := runWhatifBench(*jsonOut, *benchCheck); err != nil {
-			fmt.Fprintln(os.Stderr, "xbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonOut != "" {
-		if err := runJSONBench(*jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
@@ -562,140 +516,4 @@ func runSweepCurve(w io.Writer) {
 	}
 	addRows(tb, jobs)
 	fmt.Fprint(w, tb.String())
-}
-
-// benchStage is one timed entry of the -json report.
-type benchStage struct {
-	Name       string  `json:"name"`
-	SerialMS   float64 `json:"serial_ms"`
-	ParallelMS float64 `json:"parallel_ms"`
-	Speedup    float64 `json:"speedup"`
-}
-
-// placementThroughput records the placement hot-loop rate in proposals
-// evaluated per second: full re-synthesis per proposal vs the
-// incremental delta engine, both on the full worker pool.
-type placementThroughput struct {
-	FullProposalsPerSec  float64 `json:"fullProposalsPerSec"`
-	DeltaProposalsPerSec float64 `json:"deltaProposalsPerSec"`
-}
-
-// benchReport is the -json output: serial vs parallel wall-clock for
-// the paper tables and a 16-node placement search, stamped with the
-// toolchain and clock context needed to compare runs across machines.
-type benchReport struct {
-	Cores      int    `json:"cores"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	GoOS       string `json:"goos"`
-	GoArch     string `json:"goarch"`
-	GoVersion  string `json:"goVersion"`
-	// TimestampUTC is the wall-clock time the report was generated.
-	TimestampUTC string `json:"timestampUTC"`
-	// MonotonicNS is the monotonic-clock offset from process start to
-	// report generation; unlike the wall clock it is immune to NTP steps,
-	// so stage times are comparable to it.
-	MonotonicNS int64                `json:"monotonicNS"`
-	Floorplan   string               `json:"floorplan"`
-	Stages      []benchStage         `json:"stages"`
-	Placement   *placementThroughput `json:"placementThroughput,omitempty"`
-}
-
-// runJSONBench times each stage twice — one worker with Serial options,
-// then the full pool — resetting the Step-1 cache between passes so a
-// warm cache cannot masquerade as concurrency speedup.
-func runJSONBench(path string) error {
-	var fullTrace *xring.PlacementTrace
-	placement16 := func() {
-		net := xring.Irregular(16, 16, 16, 2.5, 5)
-		_, _, trace, err := xring.OptimizePlacement(net, xring.PlacementOptions{
-			Objective:  xring.PlaceMinWorstIL,
-			Synth:      opts(xring.Options{MaxWL: 16}),
-			Iterations: 24,
-			StepMM:     1.5,
-			Seed:       1,
-		})
-		if err != nil {
-			panic(err)
-		}
-		fullTrace = trace
-	}
-	stages := []struct {
-		name string
-		run  func()
-	}{
-		{"table1", func() { table1(io.Discard) }},
-		{"table2", func() { table2(io.Discard) }},
-		{"table3", func() { table3(io.Discard) }},
-		{"placement16", placement16},
-	}
-
-	rep := benchReport{
-		Cores:      runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoOS:       runtime.GOOS,
-		GoArch:     runtime.GOARCH,
-		GoVersion:  runtime.Version(),
-		Floorplan:  *floorplanKind,
-	}
-	for _, st := range stages {
-		serialMode = true
-		parallel.SetWorkers(1)
-		core.ResetRingCache()
-		t0 := time.Now()
-		st.run()
-		serialMS := float64(time.Since(t0).Microseconds()) / 1000
-
-		serialMode = false
-		parallel.SetWorkers(0) // restore the GOMAXPROCS-sized pool
-		core.ResetRingCache()
-		t0 = time.Now()
-		st.run()
-		parallelMS := float64(time.Since(t0).Microseconds()) / 1000
-
-		speedup := 0.0
-		if parallelMS > 0 {
-			speedup = serialMS / parallelMS
-		}
-		rep.Stages = append(rep.Stages, benchStage{
-			Name: st.name, SerialMS: serialMS, ParallelMS: parallelMS,
-			Speedup: math.Round(speedup*100) / 100,
-		})
-		fmt.Fprintf(os.Stderr, "%-12s serial %.1f ms  parallel %.1f ms  speedup %.2fx\n",
-			st.name, serialMS, parallelMS, speedup)
-	}
-
-	// Placement hot-loop throughput: the last (parallel-pool) placement16
-	// pass recorded the full-mode rate; pair it with one delta-mode run
-	// of the same search on the same pool.
-	if fullTrace != nil {
-		net := xring.Irregular(16, 16, 16, 2.5, 5)
-		core.ResetRingCache()
-		_, _, dtrace, err := xring.OptimizePlacement(net, xring.PlacementOptions{
-			Objective:  xring.PlaceMinWorstIL,
-			Synth:      opts(xring.Options{MaxWL: 16}),
-			Iterations: 24,
-			StepMM:     1.5,
-			Seed:       1,
-			Delta:      true,
-		})
-		if err != nil {
-			return err
-		}
-		rep.Placement = &placementThroughput{
-			FullProposalsPerSec:  fullTrace.EvalRate(),
-			DeltaProposalsPerSec: dtrace.EvalRate(),
-		}
-		fmt.Fprintf(os.Stderr, "placement    full %.1f proposals/s  delta %.1f proposals/s\n",
-			rep.Placement.FullProposalsPerSec, rep.Placement.DeltaProposalsPerSec)
-	}
-
-	now := time.Now()
-	rep.TimestampUTC = now.UTC().Format(time.RFC3339)
-	rep.MonotonicNS = now.Sub(processStart).Nanoseconds()
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -1,24 +1,14 @@
 package main
 
-// Solver micro-benchmark (-solver): the Step-1 ring-construction MILP
-// models, solved four ways — the pre-overhaul DFS (milp.SolveBaseline),
-// the propagating solver serial and parallel, and the propagating
-// solver warm-started from the construction heuristic. All four must
-// agree on the optimum (the run aborts otherwise); the report records
-// node counts and wall-clock so CI can catch solver regressions.
-//
-// Node counts for the baseline and the serial propagating solver are
-// deterministic (fixed models, fixed branching), so -check compares
-// them against the committed report with a small slack and fails on
-// growth. Wall-clock is machine-dependent; -check therefore compares
-// the serial-vs-baseline *ratio*, which normalizes the machine away.
+// Solver bench (-gate solver): the Step-1 ring-construction MILP
+// models, solved by the pre-overhaul DFS (milp.SolveBaseline) and by
+// the propagating solver. Wall-clock is machine-dependent, so the gate
+// reads the serial-vs-baseline speedup, which normalizes the machine
+// away. The deterministic facts — proved optima, node counts and the
+// 5x node-reduction floor — are tests in solver_test.go.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"time"
 
 	"xring/internal/milp"
 	"xring/internal/noc"
@@ -32,7 +22,7 @@ type solverInstance struct {
 }
 
 // solverInstances are ordered smallest to largest; the last one is the
-// headline case the node-reduction acceptance bar applies to.
+// headline case the node-reduction floor applies to.
 func solverInstances() []solverInstance {
 	return []solverInstance{
 		{"grid8", noc.Floorplan8()},
@@ -41,220 +31,44 @@ func solverInstances() []solverInstance {
 	}
 }
 
-// solverCase is the per-instance record of the -solver report.
-type solverCase struct {
-	Name string `json:"name"`
-	Vars int    `json:"vars"`
-	Cons int    `json:"cons"`
-
-	Objective float64 `json:"objective"`
-
-	BaselineNodes int64   `json:"baselineNodes"`
-	SerialNodes   int64   `json:"serialNodes"`
-	WarmNodes     int64   `json:"warmNodes"`
-	NodeReduction float64 `json:"nodeReduction"` // baseline / serial
-
-	BaselineMS float64 `json:"baselineMS"`
-	SerialMS   float64 `json:"serialMS"`
-	ParallelMS float64 `json:"parallelMS"`
-	WarmMS     float64 `json:"warmMS"`
-	// SerialSpeedup is baselineMS / serialMS: how much faster the
-	// propagating solver proves the same optimum on this machine.
-	SerialSpeedup float64 `json:"serialSpeedup"`
-}
-
-// solverReport is the BENCH_solver.json schema.
-type solverReport struct {
-	GoVersion  string       `json:"goVersion"`
-	GoOS       string       `json:"goos"`
-	GoArch     string       `json:"goarch"`
-	Cores      int          `json:"cores"`
-	MaxNodes   int          `json:"maxNodes"`
-	Cases      []solverCase `json:"cases"`
-	Timestamp  string       `json:"timestampUTC,omitempty"`
-	FastestRep int          `json:"timingReps"`
-}
-
-// solverMaxNodes is generous: every mode must complete, or the bench
-// aborts — a budget hit would make node counts meaningless.
+// solverMaxNodes is generous: every solve must complete, or its
+// timing means nothing.
 const solverMaxNodes = 50_000_000
 
-// solverTimingReps re-runs each timed solve and keeps the fastest
-// wall-clock, damping scheduler noise without touching the (single-run,
-// deterministic) node counts.
+// solverTimingReps re-runs each propagating solve and keeps the
+// fastest wall-clock.
 const solverTimingReps = 3
 
-func timeFastest(reps int, run func() error) (float64, error) {
-	best := 0.0
-	for r := 0; r < reps; r++ {
-		t0 := time.Now()
-		if err := run(); err != nil {
-			return 0, err
-		}
-		ms := float64(time.Since(t0).Microseconds()) / 1000
-		if r == 0 || ms < best {
-			best = ms
-		}
-	}
-	return best, nil
-}
-
-func runSolverBench(out string, checkPath string) error {
-	rep := solverReport{
-		GoVersion:  runtime.Version(),
-		GoOS:       runtime.GOOS,
-		GoArch:     runtime.GOARCH,
-		Cores:      runtime.NumCPU(),
-		MaxNodes:   solverMaxNodes,
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		FastestRep: solverTimingReps,
-	}
-
-	for _, si := range solverInstances() {
+// runSolverBench times the instances after grid8: the propagating
+// solver proves grid8 in well under a millisecond, where the ratio is
+// timer noise.
+func runSolverBench() (ratios, detail map[string]float64, err error) {
+	ratios, detail = map[string]float64{}, map[string]float64{}
+	for _, si := range solverInstances()[1:] {
 		inst, err := ring.NewMILPInstance(si.net, ring.Options{})
 		if err != nil {
-			return fmt.Errorf("%s: %w", si.name, err)
+			return nil, nil, fmt.Errorf("%s: %w", si.name, err)
 		}
-		c := solverCase{
-			Name: si.name,
-			Vars: inst.Model.NumVars(),
-			Cons: inst.Model.NumConstraints(),
-		}
-
-		var base, serial, par, warm *milp.Solution
+		opt := milp.Options{MaxNodes: solverMaxNodes}
 		// One rep for the baseline: it runs seconds, so scheduler noise
 		// is negligible, and three reps would dominate the bench.
-		c.BaselineMS, err = timeFastest(1, func() error {
-			base, err = milp.SolveBaseline(inst.Model, milp.Options{MaxNodes: solverMaxNodes})
+		baseMS, err := timeFastest(1, func() error {
+			_, err := milp.SolveBaseline(inst.Model, opt)
 			return err
 		})
 		if err != nil {
-			return fmt.Errorf("%s baseline: %w", si.name, err)
+			return nil, nil, fmt.Errorf("%s baseline: %w", si.name, err)
 		}
-		c.SerialMS, err = timeFastest(solverTimingReps, func() error {
-			serial, err = milp.Solve(inst.Model, milp.Options{MaxNodes: solverMaxNodes})
+		serialMS, err := timeFastest(solverTimingReps, func() error {
+			_, err := milp.Solve(inst.Model, opt)
 			return err
 		})
 		if err != nil {
-			return fmt.Errorf("%s serial: %w", si.name, err)
+			return nil, nil, fmt.Errorf("%s serial: %w", si.name, err)
 		}
-		c.ParallelMS, err = timeFastest(solverTimingReps, func() error {
-			par, err = milp.Solve(inst.Model, milp.Options{MaxNodes: solverMaxNodes, Parallel: true})
-			return err
-		})
-		if err != nil {
-			return fmt.Errorf("%s parallel: %w", si.name, err)
-		}
-		c.WarmMS, err = timeFastest(solverTimingReps, func() error {
-			warm, err = milp.Solve(inst.Model, milp.Options{MaxNodes: solverMaxNodes, IncumbentHint: inst.Hint})
-			return err
-		})
-		if err != nil {
-			return fmt.Errorf("%s warm: %w", si.name, err)
-		}
-
-		// Exactness cross-check: all four modes prove the same optimum.
-		for _, m := range []struct {
-			mode string
-			sol  *milp.Solution
-		}{{"serial", serial}, {"parallel", par}, {"warm", warm}} {
-			if d := m.sol.Objective - base.Objective; d > milp.Eps || d < -milp.Eps {
-				return fmt.Errorf("%s: %s objective %v != baseline %v — solver is NOT exact",
-					si.name, m.mode, m.sol.Objective, base.Objective)
-			}
-			if !m.sol.Optimal {
-				return fmt.Errorf("%s: %s solve did not prove optimality", si.name, m.mode)
-			}
-		}
-
-		c.Objective = base.Objective
-		c.BaselineNodes = int64(base.Nodes)
-		c.SerialNodes = int64(serial.Nodes)
-		c.WarmNodes = int64(warm.Nodes)
-		if serial.Nodes > 0 {
-			c.NodeReduction = float64(base.Nodes) / float64(serial.Nodes)
-		}
-		if c.SerialMS > 0 {
-			c.SerialSpeedup = c.BaselineMS / c.SerialMS
-		}
-		rep.Cases = append(rep.Cases, c)
-		fmt.Fprintf(os.Stderr,
-			"%-12s vars=%-4d baseline %8d nodes %8.1f ms | serial %7d nodes %7.1f ms (%.1fx nodes, %.1fx time) | parallel %6.1f ms | warm %7d nodes\n",
-			c.Name, c.Vars, c.BaselineNodes, c.BaselineMS,
-			c.SerialNodes, c.SerialMS, c.NodeReduction, c.SerialSpeedup,
-			c.ParallelMS, c.WarmNodes)
+		ratios[si.name+".serialSpeedup"] = baseMS / serialMS
+		detail[si.name+".baselineMS"] = baseMS
+		detail[si.name+".serialMS"] = serialMS
 	}
-
-	if out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	if checkPath != "" {
-		return checkSolverReport(rep, checkPath)
-	}
-	return nil
-}
-
-// checkSolverReport compares a fresh run against the committed
-// BENCH_solver.json. Node counts are deterministic, so any growth
-// beyond the slack is a real search regression; wall-clock is compared
-// through the serial-vs-baseline ratio to stay machine-independent.
-func checkSolverReport(got solverReport, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("solver check: %w", err)
-	}
-	var want solverReport
-	if err := json.Unmarshal(data, &want); err != nil {
-		return fmt.Errorf("solver check: parse %s: %w", path, err)
-	}
-	wantCases := map[string]solverCase{}
-	for _, c := range want.Cases {
-		wantCases[c.Name] = c
-	}
-	const slack = 1.25 // 25%
-	var failures []string
-	for _, c := range got.Cases {
-		w, ok := wantCases[c.Name]
-		if !ok {
-			continue // new instance, no baseline yet
-		}
-		if float64(c.SerialNodes) > float64(w.SerialNodes)*slack {
-			failures = append(failures, fmt.Sprintf(
-				"%s: serial nodes grew %d -> %d (>25%%)", c.Name, w.SerialNodes, c.SerialNodes))
-		}
-		// The committed ratio already proved achievable on some machine;
-		// regressing it by >25% on the same models means the solver (not
-		// the machine) got slower relative to its own baseline. Sub-
-		// millisecond solves are all timer noise, so the ratio is only
-		// meaningful on instances the propagating solver itself takes
-		// >=1 ms on.
-		if w.SerialSpeedup > 0 && w.SerialMS >= 1 && c.SerialSpeedup < w.SerialSpeedup/slack {
-			failures = append(failures, fmt.Sprintf(
-				"%s: serial speedup vs baseline fell %.2fx -> %.2fx (>25%%)",
-				c.Name, w.SerialSpeedup, c.SerialSpeedup))
-		}
-	}
-	// Acceptance floor: the largest instance must keep a >=5x node
-	// reduction over the pre-overhaul DFS.
-	if n := len(got.Cases); n > 0 {
-		last := got.Cases[n-1]
-		if last.NodeReduction < 5 {
-			failures = append(failures, fmt.Sprintf(
-				"%s: node reduction %.2fx below the 5x floor", last.Name, last.NodeReduction))
-		}
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "solver check FAIL:", f)
-		}
-		return fmt.Errorf("solver check: %d regression(s) against %s", len(failures), path)
-	}
-	fmt.Fprintln(os.Stderr, "solver check OK against", path)
-	return nil
+	return ratios, detail, nil
 }

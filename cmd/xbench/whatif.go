@@ -1,26 +1,17 @@
 package main
 
-// Fault-replay benchmark (-whatif): a k=1 fault-tolerant 16-node
+// Fault-replay bench (-gate whatif): a k=1 fault-tolerant 16-node
 // design is replayed under its exhaustive single-fault universe (MRR,
-// segment and detune faults), serial and parallel. Two properties are
-// pinned:
-//
-//   - Survivability: the k=1 synthesis must survive every single-MRR
-//     scenario with zero lost signals — the same acceptance property
-//     the faults package tests, re-checked here on the larger design.
-//   - Replay throughput: the delta replay must beat re-running the full
-//     nominal loss+crosstalk analysis per scenario. The amplification
-//     ratio (scenarios x nominal analysis time / replay wall-clock) is
-//     machine-independent and is what -check gates, mirroring the
-//     explore bench.
+// segment and detune faults). The gate reads the amplification —
+// scenarios x nominal analysis time / parallel replay wall-clock, how
+// much cheaper delta replay is than re-running the full loss+crosstalk
+// analysis per scenario — which must exceed 1. The design's universe
+// shape and single-MRR survivability are tests in internal/faults
+// (caseXRing16FT1).
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"time"
 
 	"xring/internal/core"
 	"xring/internal/faults"
@@ -29,206 +20,53 @@ import (
 	"xring/internal/xtalk"
 )
 
-// whatifReport is the BENCH_whatif.json schema.
-type whatifReport struct {
-	GoVersion string `json:"goVersion"`
-	GoOS      string `json:"goos"`
-	GoArch    string `json:"goarch"`
-	Cores     int    `json:"cores"`
-
-	Signals   int `json:"signals"`
-	Universe  int `json:"universe"`
-	Scenarios int `json:"scenarios"`
-
-	FullSetSurvivesMRR bool `json:"fullSetSurvivesMRR"`
-	MaxLost            int  `json:"maxLost"`
-	Promotions         int  `json:"promotions"`
-
-	NominalMS  float64 `json:"nominalMS"`
-	SerialMS   float64 `json:"serialMS"`
-	ParallelMS float64 `json:"parallelMS"`
-	// ReplaysPerSec is parallel replay throughput (machine-dependent,
-	// informational); Amplification is scenarios*nominalMS/parallelMS —
-	// how much cheaper delta replay is than naive full re-analysis per
-	// scenario (machine-independent, gated by -check).
-	ReplaysPerSec float64 `json:"replaysPerSec"`
-	Amplification float64 `json:"amplification"`
-
-	Timestamp string `json:"timestampUTC,omitempty"`
-}
-
 // whatifTimingReps: best-of reps damp scheduler noise, like the other
 // benches.
 const whatifTimingReps = 3
 
-func runWhatifBench(out string, checkPath string) error {
+func runWhatifBench() (ratios, detail map[string]float64, err error) {
 	res, err := core.Synthesize(noc.Floorplan16(), core.Options{
 		MaxWL: 12, WithPDN: true, FaultTolerance: 1,
 	})
 	if err != nil {
-		return fmt.Errorf("whatif bench: synthesize: %w", err)
+		return nil, nil, fmt.Errorf("synthesize: %w", err)
 	}
 	d, plan := res.Design, res.Plan
 	ctx := context.Background()
 
-	// The full mixed universe is the timed workload.
 	universe := faults.Universe(d, []faults.Kind{faults.KindMRR, faults.KindSegment, faults.KindDetune}, 0)
 	scenarios, err := faults.EnumerateK(universe, 1)
 	if err != nil {
-		return fmt.Errorf("whatif bench: %w", err)
+		return nil, nil, err
 	}
 
 	// Baseline: one full nominal loss+crosstalk analysis (what each
 	// scenario would cost without delta replay).
-	nominalMS := 0.0
-	for rep := 0; rep < whatifTimingReps; rep++ {
-		t0 := time.Now()
+	nominalMS, err := timeFastest(whatifTimingReps, func() error {
 		lrep, err := loss.AnalyzeCtx(ctx, d, plan)
 		if err != nil {
-			return fmt.Errorf("whatif bench: nominal loss: %w", err)
+			return fmt.Errorf("nominal loss: %w", err)
 		}
-		if _, err := xtalk.AnalyzeCtx(ctx, d, plan, lrep); err != nil {
-			return fmt.Errorf("whatif bench: nominal xtalk: %w", err)
-		}
-		ms := float64(time.Since(t0).Microseconds()) / 1000
-		if rep == 0 || ms < nominalMS {
-			nominalMS = ms
-		}
-	}
-
-	timeReplay := func(serial bool) (*faults.Report, float64, error) {
-		var best float64
-		var rep *faults.Report
-		for i := 0; i < whatifTimingReps; i++ {
-			t0 := time.Now()
-			r, err := faults.Analyze(ctx, d, plan, scenarios, faults.Options{Serial: serial})
-			ms := float64(time.Since(t0).Microseconds()) / 1000
-			if err != nil {
-				return nil, 0, err
-			}
-			if i == 0 || ms < best {
-				best = ms
-			}
-			rep = r
-		}
-		return rep, best, nil
-	}
-	_, serialMS, err := timeReplay(true)
+		_, err = xtalk.AnalyzeCtx(ctx, d, plan, lrep)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("whatif bench: serial replay: %w", err)
+		return nil, nil, err
 	}
-	full, parallelMS, err := timeReplay(false)
-	if err != nil {
-		return fmt.Errorf("whatif bench: parallel replay: %w", err)
-	}
-
-	// Survivability acceptance on the MRR-only universe.
-	mrrScs, err := faults.EnumerateK(faults.Universe(d, []faults.Kind{faults.KindMRR}, 0), 1)
-	if err != nil {
-		return fmt.Errorf("whatif bench: %w", err)
-	}
-	mrr, err := faults.Analyze(ctx, d, plan, mrrScs, faults.Options{})
-	if err != nil {
-		return fmt.Errorf("whatif bench: MRR replay: %w", err)
-	}
-	promotions := 0
-	for _, o := range mrr.Outcomes {
-		promotions += len(o.Promoted)
-	}
-
-	rep := whatifReport{
-		GoVersion: runtime.Version(),
-		GoOS:      runtime.GOOS,
-		GoArch:    runtime.GOARCH,
-		Cores:     runtime.NumCPU(),
-
-		Signals:   full.Signals,
-		Universe:  len(universe),
-		Scenarios: len(scenarios),
-
-		FullSetSurvivesMRR: mrr.FullSetSurvives,
-		MaxLost:            mrr.MaxLost,
-		Promotions:         promotions,
-
-		NominalMS:  nominalMS,
-		SerialMS:   serialMS,
-		ParallelMS: parallelMS,
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-	}
-	if parallelMS > 0 {
-		rep.ReplaysPerSec = float64(len(scenarios)) / (parallelMS / 1000)
-		rep.Amplification = float64(len(scenarios)) * nominalMS / parallelMS
-	}
-	fmt.Fprintf(os.Stderr,
-		"whatif replay %d scenarios over %d signals: parallel %.1f ms (serial %.1f, nominal analysis %.2f) | %.0f replays/s | %.1fx vs naive | MRR survival %v (%d promotions)\n",
-		rep.Scenarios, rep.Signals, rep.ParallelMS, rep.SerialMS, rep.NominalMS,
-		rep.ReplaysPerSec, rep.Amplification, rep.FullSetSurvivesMRR, rep.Promotions)
-
-	// Acceptance floors, independent of any committed report.
-	if !mrr.FullSetSurvives || mrr.MaxLost != 0 {
-		return fmt.Errorf("whatif bench: k=1 design lost %d signals under single-MRR replay", mrr.MaxLost)
-	}
-	if promotions == 0 {
-		return fmt.Errorf("whatif bench: no fault ever promoted a spare")
-	}
-	if rep.Amplification <= 1.0 {
-		return fmt.Errorf("whatif bench: delta replay (%.2fx) was not faster than naive per-scenario re-analysis", rep.Amplification)
-	}
-
-	if out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
+	replayMS := func(serial bool) (float64, error) {
+		return timeFastest(whatifTimingReps, func() error {
+			_, err := faults.Analyze(ctx, d, plan, scenarios, faults.Options{Serial: serial})
 			return err
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
+		})
 	}
-	if checkPath != "" {
-		return checkWhatifReport(rep, checkPath)
-	}
-	return nil
-}
-
-// checkWhatifReport compares a fresh run against the committed
-// BENCH_whatif.json: universe shape and survivability are deterministic
-// (exact match); the replay amplification ratio is machine-independent
-// (25% slack).
-func checkWhatifReport(got whatifReport, path string) error {
-	data, err := os.ReadFile(path)
+	serialMS, err := replayMS(true)
 	if err != nil {
-		return fmt.Errorf("whatif check: %w", err)
+		return nil, nil, fmt.Errorf("serial replay: %w", err)
 	}
-	var want whatifReport
-	if err := json.Unmarshal(data, &want); err != nil {
-		return fmt.Errorf("whatif check: parse %s: %w", path, err)
+	parallelMS, err := replayMS(false)
+	if err != nil {
+		return nil, nil, fmt.Errorf("parallel replay: %w", err)
 	}
-	var failures []string
-	if got.Signals != want.Signals || got.Universe != want.Universe || got.Scenarios != want.Scenarios {
-		failures = append(failures, fmt.Sprintf(
-			"universe shape changed: %d signals/%d faults/%d scenarios -> %d/%d/%d (regenerate %s)",
-			want.Signals, want.Universe, want.Scenarios,
-			got.Signals, got.Universe, got.Scenarios, path))
-	}
-	if !got.FullSetSurvivesMRR || got.MaxLost != 0 {
-		failures = append(failures, fmt.Sprintf(
-			"single-MRR survivability lost: survives=%v maxLost=%d", got.FullSetSurvivesMRR, got.MaxLost))
-	}
-	if got.Promotions < want.Promotions {
-		failures = append(failures, fmt.Sprintf(
-			"spare promotions fell %d -> %d on a deterministic universe", want.Promotions, got.Promotions))
-	}
-	const slack = 1.25 // 25%
-	if want.Amplification > 0 && got.Amplification < want.Amplification/slack {
-		failures = append(failures, fmt.Sprintf(
-			"replay amplification fell %.2fx -> %.2fx (>25%%)", want.Amplification, got.Amplification))
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "whatif check FAIL:", f)
-		}
-		return fmt.Errorf("whatif check: %d regression(s) against %s", len(failures), path)
-	}
-	fmt.Fprintln(os.Stderr, "whatif check OK against", path)
-	return nil
+	return map[string]float64{"amplification": float64(len(scenarios)) * nominalMS / parallelMS},
+		map[string]float64{"nominalMS": nominalMS, "serialMS": serialMS, "parallelMS": parallelMS}, nil
 }

@@ -152,9 +152,9 @@ func TestRingCacheLRUTouch(t *testing.T) {
 }
 
 // benchmarkSynthesize16 times the full 16-node flow with a cold Step-1
-// cache; the Off/On pair quantifies the telemetry overhead (compare
-// also against BENCH_parallel.json across commits — the disabled path
-// must stay within noise of the pre-instrumentation engine).
+// cache; the Off/On pair quantifies the telemetry overhead (the
+// disabled path must stay within noise of the pre-instrumentation
+// engine).
 func benchmarkSynthesize16(b *testing.B, trace, metrics bool) {
 	prevT, prevM := obs.TracingEnabled(), obs.MetricsEnabled()
 	obs.EnableTracing(trace)

@@ -143,38 +143,63 @@ func TestSingleMRRWithoutSparesLosesOneSignal(t *testing.T) {
 	}
 }
 
-// TestFaultTolerantSurvivesAllSingleMRR is the PR acceptance property: a
-// k=1 synthesis survives the exhaustive single-MRR universe with zero
-// lost signals.
+// TestFaultTolerantSurvivesAllSingleMRR is the acceptance property of
+// fault-tolerant synthesis: a k=1 design survives the exhaustive
+// single-MRR universe with zero lost signals. caseXRing16FT1 is the
+// design xbench's whatif gate times; its signal count, universe size
+// and spare promotions are pinned here.
 func TestFaultTolerantSurvivesAllSingleMRR(t *testing.T) {
-	d, plan := synth(t, 1, true)
-	if len(d.SpareRoutes) != len(d.Routes) {
-		t.Fatalf("spares %d != routes %d", len(d.SpareRoutes), len(d.Routes))
-	}
-	scs, err := EnumerateK(Universe(d, []Kind{KindMRR}, 0), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Analyze(context.Background(), d, plan, scs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.FullSetSurvives {
-		for _, o := range rep.Outcomes {
-			if len(o.Lost) > 0 {
-				t.Fatalf("fault %v lost %v", o.Scenario, o.Lost)
+	for _, tc := range []struct {
+		c replayCase
+		// signals and faults (the mixed-kind universe, which k=1
+		// enumerates one scenario per fault) are checked when nonzero.
+		signals, faults int
+		minPromotions   int
+	}{
+		{c: replayCase{"xring8-wl8-ft1", xringCase(8, 8, 1, false)}, minPromotions: 1},
+		{c: caseXRing16FT1, signals: 240, faults: 1885, minPromotions: 480},
+	} {
+		t.Run(tc.c.name, func(t *testing.T) {
+			d, plan := tc.c.design(t)
+			if len(d.SpareRoutes) != len(d.Routes) {
+				t.Fatalf("spares %d != routes %d", len(d.SpareRoutes), len(d.Routes))
 			}
-		}
-	}
-	if rep.MinSurvived != len(d.Routes) || rep.MaxLost != 0 {
-		t.Fatalf("min/max = %d/%d", rep.MinSurvived, rep.MaxLost)
-	}
-	promotions := 0
-	for _, o := range rep.Outcomes {
-		promotions += len(o.Promoted)
-	}
-	if promotions == 0 {
-		t.Fatal("no fault ever promoted a spare; universe or replay is broken")
+			if tc.faults > 0 {
+				scs, err := EnumerateK(Universe(d, allFaultKinds, 0), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(d.Routes) != tc.signals || len(scs) != tc.faults {
+					t.Fatalf("%d signals, %d single-fault scenarios; want %d, %d",
+						len(d.Routes), len(scs), tc.signals, tc.faults)
+				}
+			}
+			scs, err := EnumerateK(Universe(d, []Kind{KindMRR}, 0), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Analyze(context.Background(), d, plan, scs, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.FullSetSurvives {
+				for _, o := range rep.Outcomes {
+					if len(o.Lost) > 0 {
+						t.Fatalf("fault %v lost %v", o.Scenario, o.Lost)
+					}
+				}
+			}
+			if rep.MinSurvived != len(d.Routes) || rep.MaxLost != 0 {
+				t.Fatalf("min/max = %d/%d", rep.MinSurvived, rep.MaxLost)
+			}
+			promotions := 0
+			for _, o := range rep.Outcomes {
+				promotions += len(o.Promoted)
+			}
+			if promotions < tc.minPromotions {
+				t.Fatalf("%d spare promotions, want at least %d", promotions, tc.minPromotions)
+			}
+		})
 	}
 }
 

@@ -8,10 +8,11 @@ import (
 
 // SolveBaseline is the pre-overhaul depth-first branch-and-bound,
 // preserved verbatim as a reference implementation. It exists for two
-// reasons: the benchmark-regression harness (`xbench -solver`) measures
-// the propagating solver against it, and the property tests use it as a
-// second exact oracle next to SolveBrute on models too large to
-// enumerate. New code should call Solve.
+// reasons: the solver gate (`xbench -gate solver`) and the node-count
+// floor test in cmd/xbench measure the propagating solver against it,
+// and the property tests use it as a second exact oracle next to
+// SolveBrute on models too large to enumerate. New code should call
+// Solve.
 func SolveBaseline(m *Model, opt Options) (*Solution, error) {
 	s := &baseSolver{
 		m:        m,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -195,15 +196,13 @@ func randomModel(rng *rand.Rand) *Model {
 }
 
 // solveConfigs is the option sweep the property tests run every corpus
-// model through: propagation on/off crossed with parallel on/off.
+// model through: propagation on and off.
 var solveConfigs = []struct {
 	name string
 	opt  Options
 }{
 	{"default", Options{}},
 	{"noprop", Options{NoPropagation: true}},
-	{"parallel", Options{Parallel: true}},
-	{"parallel-noprop", Options{Parallel: true, NoPropagation: true}},
 }
 
 func TestSolveMatchesBruteForce(t *testing.T) {
@@ -237,19 +236,25 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 		if errB != nil {
 			continue
 		}
-		// Warm-started solves (the brute optimum as hint) must agree too
-		// and must report the warm start.
-		for _, par := range []bool{false, true} {
-			got, err := Solve(m, Options{IncumbentHint: want.Values, Parallel: par})
-			if err != nil {
-				t.Fatalf("trial %d: warm-started solve failed: %v", trial, err)
-			}
-			if math.Abs(want.Objective-got.Objective) > Eps {
-				t.Fatalf("trial %d: warm brute=%v solve=%v", trial, want.Objective, got.Objective)
-			}
-			if !got.WarmStarted {
-				t.Fatalf("trial %d: feasible hint not reported as warm start", trial)
-			}
+		// A warm-started solve (the brute optimum as hint) must agree too,
+		// must report the warm start, and must return the cold solve's
+		// witness: the canonical dive ignores the hint.
+		cold, err := Solve(m, Options{})
+		if err != nil {
+			t.Fatalf("trial %d: cold solve failed: %v", trial, err)
+		}
+		got, err := Solve(m, Options{IncumbentHint: want.Values})
+		if err != nil {
+			t.Fatalf("trial %d: warm-started solve failed: %v", trial, err)
+		}
+		if math.Abs(want.Objective-got.Objective) > Eps {
+			t.Fatalf("trial %d: warm brute=%v solve=%v", trial, want.Objective, got.Objective)
+		}
+		if !got.WarmStarted {
+			t.Fatalf("trial %d: feasible hint not reported as warm start", trial)
+		}
+		if !reflect.DeepEqual(got.Values, cold.Values) {
+			t.Fatalf("trial %d: warm witness %v differs from cold witness %v", trial, got.Values, cold.Values)
 		}
 	}
 }

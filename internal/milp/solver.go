@@ -5,20 +5,17 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"xring/internal/obs"
 )
 
 // Solver counters (see OBSERVABILITY.md "Solver metrics").
 var (
-	mNodes       = obs.NewCounter("milp.nodes")
-	mPropagated  = obs.NewCounter("milp.propagated")
-	mPruned      = obs.NewCounter("milp.pruned")
-	mIncumbents  = obs.NewCounter("milp.incumbents")
-	mSubproblems = obs.NewCounter("milp.subproblems")
-	mSteals      = obs.NewCounter("milp.steals")
-	mWarmStarts  = obs.NewCounter("milp.warmstart.accepted")
+	mNodes      = obs.NewCounter("milp.nodes")
+	mPropagated = obs.NewCounter("milp.propagated")
+	mPruned     = obs.NewCounter("milp.pruned")
+	mIncumbents = obs.NewCounter("milp.incumbents")
+	mWarmStarts = obs.NewCounter("milp.warmstart.accepted")
 )
 
 // Solve minimizes the model exactly via a propagating branch-and-bound.
@@ -28,10 +25,8 @@ var (
 // generic), runs unit propagation to fixpoint after every decision, and
 // prunes with an admissible bound combining the partition bound with
 // the propagated fixings, plus dominance chains over identical columns.
-// With Options.Parallel the frontier fans out over internal/parallel;
-// completed solves are bit-identical to serial because the returned
-// witness is re-derived by a deterministic canonical dive once the
-// optimum value is proved. See DESIGN.md "Solver internals".
+// Once the optimum value is proved, the returned witness is re-derived
+// by a deterministic canonical dive. See DESIGN.md "Solver internals".
 func Solve(m *Model, opt Options) (*Solution, error) {
 	maxNodes := opt.MaxNodes
 	if maxNodes == 0 {
@@ -56,43 +51,19 @@ func Solve(m *Model, opt Options) (*Solution, error) {
 		}
 	}
 
-	// Phase 1: prove the optimum value.
-	var subs []subResult
-	budgetHit := false
-	if opt.Parallel {
-		subs, budgetHit = solveParallel(c, sh, opt)
-	} else {
-		s := newSearcher(c, sh, opt.NoPropagation)
-		s.initRoot()
-		s.search()
-		subs = []subResult{s.result()}
-		budgetHit = s.budgetHit
-		subs[0].subproblems = 1
+	// Phase 1: prove the optimum value. The hint wins exact ties: the
+	// search replaces it only with a strict Eps-improvement.
+	s := newSearcher(c, sh, opt.NoPropagation)
+	s.initRoot()
+	s.search()
+	found, bestObj, bestVals := warm, hintObj, hintVals
+	if s.found && (!found || s.bestObj < bestObj-Eps) {
+		found, bestObj, bestVals = true, s.bestObj, s.bestVals
 	}
 
-	// Deterministic reduction: the hint first, then subproblems in their
-	// fixed decomposition order; strict Eps-improvement so exact ties
-	// resolve to the earliest candidate.
-	found := warm
-	bestObj := hintObj
-	bestVals := hintVals
-	st := solveStats{}
-	for _, r := range subs {
-		st.fold(r)
-		budgetHit = budgetHit || r.budgetHit
-		if !r.found {
-			continue
-		}
-		if !found || r.obj < bestObj-Eps {
-			found = true
-			bestObj = r.obj
-			bestVals = r.vals
-		}
-	}
-
-	nodes := int(sh.nodes.Load())
+	nodes := int(sh.nodes)
 	if !found {
-		if !budgetHit {
+		if !s.budgetHit {
 			return nil, fmt.Errorf("%w (%d vars, %d constraints, %d nodes explored)",
 				ErrInfeasible, m.NumVars(), m.NumConstraints(), nodes)
 		}
@@ -102,22 +73,22 @@ func Solve(m *Model, opt Options) (*Solution, error) {
 	sol := &Solution{
 		Objective:   bestObj,
 		Values:      bestVals,
-		Optimal:     !budgetHit,
-		Propagated:  int(st.propagated),
-		Pruned:      int(st.pruned),
-		Subproblems: int(st.subproblems),
-		Steals:      int(st.steals),
+		Optimal:     !s.budgetHit,
+		Propagated:  int(s.applies - s.decisions),
+		Pruned:      int(s.pruned),
 		WarmStarted: warm,
 	}
-	if !budgetHit {
+	if !s.budgetHit {
 		// Phase 2: canonical witness dive. The optimum value V is proved;
-		// re-derive the returned assignment with a deterministic serial
-		// descent that prunes only what provably exceeds V. Serial and
-		// parallel phase 1 may surface different (equally optimal)
-		// witnesses depending on timing — the dive makes the returned
-		// solution a pure function of (model, options). The dive gets its
-		// own node budget so its determinism cannot depend on how many
-		// nodes phase 1 happened to consume.
+		// re-derive the returned assignment with a deterministic descent
+		// that prunes only what provably exceeds V. Phase 1 keeps
+		// whichever optimal incumbent it met first — the hint, when one
+		// ties — so without the dive a warm and a cold solve of one model
+		// could return different witnesses. The dive makes the returned
+		// solution a pure function of the model and NoPropagation;
+		// mapping adopts these witnesses, so its designs depend on it.
+		// The dive gets its own node budget so its result cannot depend
+		// on how many nodes phase 1 happened to consume.
 		dsh := newShared(maxNodes)
 		d := newSearcher(c, dsh, opt.NoPropagation)
 		d.initRoot()
@@ -125,19 +96,17 @@ func Solve(m *Model, opt Options) (*Solution, error) {
 			sol.Objective = d.bestObj
 			sol.Values = d.bestVals
 		}
-		nodes += int(dsh.nodes.Load())
+		nodes += int(dsh.nodes)
 		sol.Propagated += int(d.applies - d.decisions)
 		sol.Pruned += int(d.pruned)
 	}
 	sol.Nodes = nodes
-	sol.Incumbents = int(sh.incumbents.Load())
+	sol.Incumbents = int(sh.incumbents)
 
 	mNodes.Add(int64(sol.Nodes))
 	mPropagated.Add(int64(sol.Propagated))
 	mPruned.Add(int64(sol.Pruned))
 	mIncumbents.Add(int64(sol.Incumbents))
-	mSubproblems.Add(int64(sol.Subproblems))
-	mSteals.Add(int64(sol.Steals))
 	if warm {
 		mWarmStarts.Inc()
 	}
@@ -349,56 +318,32 @@ func compile(m *Model) *compiled {
 	return c
 }
 
-// shared is the solve-wide state all searchers observe: the incumbent
-// objective (atomic float bits, CAS-min) and the node budget.
+// shared is the solve-wide state a searcher observes: the incumbent
+// objective and the node budget.
 type shared struct {
-	best       atomic.Uint64
-	nodes      atomic.Int64
-	incumbents atomic.Int64
+	best       float64
+	nodes      int64
+	incumbents int64
 	maxNodes   int64
 }
 
 func newShared(maxNodes int) *shared {
-	sh := &shared{maxNodes: int64(maxNodes)}
-	sh.best.Store(math.Float64bits(math.Inf(1)))
-	return sh
+	return &shared{best: math.Inf(1), maxNodes: int64(maxNodes)}
 }
 
-func (sh *shared) bestObj() float64 { return math.Float64frombits(sh.best.Load()) }
-
 // offer installs obj as the incumbent if it improves on it.
-func (sh *shared) offer(obj float64) bool {
-	for {
-		cur := sh.best.Load()
-		if obj >= math.Float64frombits(cur) {
-			return false
-		}
-		if sh.best.CompareAndSwap(cur, math.Float64bits(obj)) {
-			sh.incumbents.Add(1)
-			return true
-		}
+func (sh *shared) offer(obj float64) {
+	if obj < sh.best {
+		sh.best = obj
+		sh.incumbents++
 	}
 }
 
-// subResult is one searcher's contribution to the reduction.
-type subResult struct {
-	found     bool
-	obj       float64
-	vals      []bool
-	budgetHit bool
-
-	nodes, propagated, pruned, subproblems, steals int64
-}
-
-type solveStats struct {
-	propagated, pruned, subproblems, steals int64
-}
-
-func (st *solveStats) fold(r subResult) {
-	st.propagated += r.propagated
-	st.pruned += r.pruned
-	st.subproblems += r.subproblems
-	st.steals += r.steals
+// spend charges one node to the budget and reports whether the budget
+// still covered it.
+func (sh *shared) spend() bool {
+	sh.nodes++
+	return sh.nodes <= sh.maxNodes
 }
 
 type pfix struct {
@@ -408,9 +353,9 @@ type pfix struct {
 
 var valueOrder = [2]int8{one, zero}
 
-// searcher is the per-goroutine branch-and-bound state: the partial
-// assignment, per-row fixed/free counters, the undo trail and the
-// propagation queues. All fields are goroutine-local except sh.
+// searcher is the branch-and-bound state: the partial assignment,
+// per-row fixed/free counters, the undo trail and the propagation
+// queues.
 type searcher struct {
 	c      *compiled
 	sh     *shared
@@ -432,11 +377,8 @@ type searcher struct {
 	bestObj  float64
 	bestVals []bool
 
-	nodes, applies, decisions, pruned int64
-	budgetHit                         bool
-	// stolen marks a subproblem that observed another one in flight —
-	// the frontier genuinely overlapped in time.
-	stolen bool
+	applies, decisions, pruned int64
+	budgetHit                  bool
 }
 
 func newSearcher(c *compiled, sh *shared, noProp bool) *searcher {
@@ -482,22 +424,6 @@ func (s *searcher) initRoot() {
 		s.isDirty[g] = true
 		s.dirty = append(s.dirty, int32(g))
 	}
-}
-
-func (s *searcher) result() subResult {
-	r := subResult{
-		found:      s.found,
-		obj:        s.bestObj,
-		vals:       s.bestVals,
-		budgetHit:  s.budgetHit,
-		nodes:      s.nodes,
-		propagated: s.applies - s.decisions,
-		pruned:     s.pruned,
-	}
-	if s.stolen {
-		r.steals = 1
-	}
-	return r
 }
 
 // apply fixes v to val, updating counters and enqueueing implied
@@ -822,7 +748,7 @@ func (s *searcher) snapshot() []bool {
 
 // recordLeaf validates the complete assignment against the full model
 // (Check is the authority; the incremental counters are bookkeeping)
-// and folds it into the local and shared incumbents.
+// and folds it into the searcher's best and the shared incumbent.
 func (s *searcher) recordLeaf() {
 	vals := s.snapshot()
 	obj, ok := s.c.m.Check(vals)
@@ -840,18 +766,17 @@ func (s *searcher) recordLeaf() {
 // search explores the subtree below the current partial assignment,
 // consuming any pending decision from the queue first.
 func (s *searcher) search() {
-	if s.sh.nodes.Add(1) > s.sh.maxNodes {
+	if !s.sh.spend() {
 		s.budgetHit = true
 		s.resetQueues()
 		return
 	}
-	s.nodes++
 	mark := len(s.trail)
 	if !s.propagate() {
 		s.undo(mark)
 		return
 	}
-	if lb := s.lowerBound(); lb >= s.sh.bestObj()-Eps {
+	if lb := s.lowerBound(); lb >= s.sh.best-Eps {
 		s.pruned++
 		s.undo(mark)
 		return
@@ -877,15 +802,14 @@ func (s *searcher) search() {
 // assignment with objective <= bound in the fixed depth-first order,
 // pruning only subtrees whose lower bound provably exceeds bound. With
 // bound = V + Eps for the proved optimum V, the result is a pure
-// function of (model, options) — this is what makes parallel solves
-// bit-identical to serial ones.
+// function of the model and NoPropagation: the IncumbentHint and the
+// order phase 1 met its incumbents do not reach it.
 func (s *searcher) dive(bound float64) bool {
-	if s.sh.nodes.Add(1) > s.sh.maxNodes {
+	if !s.sh.spend() {
 		s.budgetHit = true
 		s.resetQueues()
 		return false
 	}
-	s.nodes++
 	mark := len(s.trail)
 	if !s.propagate() {
 		s.undo(mark)

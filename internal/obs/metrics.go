@@ -191,8 +191,8 @@ func (h *Histogram) BucketCounts() []int64 {
 // Bounds returns the bucket upper edges.
 func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
 
-// ResetMetrics zeroes every registered instrument. Tests and the
-// xbench timing harness call it between passes.
+// ResetMetrics zeroes every registered instrument. Tests call it
+// between passes.
 func ResetMetrics() {
 	registry.Lock()
 	defer registry.Unlock()

@@ -417,7 +417,7 @@ func (inst *MILPInstance) Successors(sol *milp.Solution) []int {
 // generic 0/1 solver, then applies the same merging. It is exponential
 // in the worst case and intended for N ≲ 10 and cross-validation. The
 // solve is warm-started from the construction heuristic (or the caller's
-// Options.IncumbentHint) and runs the deterministic parallel mode.
+// Options.IncumbentHint).
 func ConstructMILP(net *noc.Network, opt Options) (*Result, error) {
 	inst, err := NewMILPInstance(net, opt)
 	if err != nil {
@@ -430,7 +430,6 @@ func ConstructMILP(net *noc.Network, opt Options) (*Result, error) {
 	sol, err := milp.Solve(inst.Model, milp.Options{
 		MaxNodes:      maxNodes,
 		IncumbentHint: inst.Hint,
-		Parallel:      true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ring: MILP solve: %w", err)

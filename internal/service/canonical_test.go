@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -147,4 +148,46 @@ func TestCanonicalKeyShape(t *testing.T) {
 	if !strings.HasPrefix(k, "sha256:") || len(k) != len("sha256:")+64 {
 		t.Errorf("key %q is not sha256:<64 hex>", k)
 	}
+}
+
+// FuzzCanonicalKey: arbitrary request JSON never makes CanonicalKey
+// panic, and a request that resolves keeps its key when its explicitly
+// numbered nodes are listed in another order, or its traffic entries
+// are reordered and duplicated. seed drives the permutation. Seeds live
+// in testdata/fuzz/FuzzCanonicalKey.
+func FuzzCanonicalKey(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte, seed int64) {
+		var req Request
+		if json.Unmarshal(body, &req) != nil {
+			return
+		}
+		key, err := CanonicalKey(&req)
+		if err != nil {
+			return
+		}
+		rng := rand.New(rand.NewSource(seed))
+		alt := req
+		explicit := len(req.Network.Nodes) > 0
+		for _, n := range req.Network.Nodes {
+			explicit = explicit && n.ID != nil
+		}
+		if explicit {
+			nodes := append([]NodeSpec(nil), req.Network.Nodes...)
+			rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+			alt.Network.Nodes = nodes
+		}
+		if n := len(req.Options.Traffic); n > 0 {
+			traffic := append([]SignalSpec(nil), req.Options.Traffic...)
+			traffic = append(traffic, traffic[rng.Intn(n)])
+			rng.Shuffle(len(traffic), func(i, j int) { traffic[i], traffic[j] = traffic[j], traffic[i] })
+			alt.Options.Traffic = traffic
+		}
+		altKey, err := CanonicalKey(&alt)
+		if err != nil {
+			t.Fatalf("permuted request no longer resolves: %v", err)
+		}
+		if altKey != key {
+			t.Fatalf("permuting nodes or traffic changed the key:\n  %s\n  %s", key, altKey)
+		}
+	})
 }
